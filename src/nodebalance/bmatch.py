@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .core import Graph, IncrementPlan, apply_plan
+from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector
 from .errors import BudgetError, InstanceError, WitnessUnavailableError
 
 # hard budgets for the expansion construction
@@ -53,74 +53,64 @@ _DECIDE_ENUM_N = 9
 
 def check_bvector(b: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate a demand vector: length n, non-negative integers."""
-    tb = tuple(b)
-    if len(tb) != n:
-        raise InstanceError(f"expected {n} demands, got {len(tb)}")
-    for v, x in enumerate(tb):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InstanceError(f"demand of vertex {v} is not an int: {x!r}")
-        if x < 0:
-            raise InstanceError(f"demand of vertex {v} is negative: {x}")
-    return tb
+    return _check_vector(b, n, "demand")
 
 
 def _check_subset(U: Iterable[int], n: int) -> tuple[int, ...]:
-    tu = tuple(sorted(set(U)))
+    tu = tuple(sorted({_as_int(v, "vertex id") for v in U}))
     if tu and (tu[0] < 0 or tu[-1] >= n):
         raise InstanceError(f"subset {tu} out of range for n={n}")
     return tu
 
 
-def isolated_vertices(G: Graph, U: Iterable[int]) -> tuple[int, ...]:
-    """I(U): vertices outside U whose neighbors all lie inside U.  With
-    U empty this is the set of isolated vertices of G itself."""
-    tu = set(_check_subset(U, G.n))
-    return tuple(
-        v
-        for v in range(G.n)
-        if v not in tu and all(u in tu for u in G.neighbors(v))
-    )
-
-
-def _components_minus(G: Graph, removed: set[int]) -> list[list[int]]:
-    seen = set(removed)
-    comps = []
+def _tutte_terms(
+    G: Graph, U: tuple[int, ...], b: Sequence[int]
+) -> tuple[tuple[int, ...], int, int]:
+    """(I(U), S(G-U), deficiency) from one component scan of G-U, for a
+    sorted in-range U and a validated b.  I(U) is exactly the set of
+    singleton components of G-U."""
+    seen = set(U)
+    iso = []
+    s_cnt = 0
     for s in range(G.n):
         if s in seen:
             continue
-        comp = [s]
         seen.add(s)
         stack = [s]
+        size = 0
+        tot = 0
         while stack:
             v = stack.pop()
+            size += 1
+            tot += b[v]
             for u in G.neighbors(v):
                 if u not in seen:
                     seen.add(u)
-                    comp.append(u)
                     stack.append(u)
-        comps.append(comp)
-    return comps
+        if size == 1:
+            iso.append(s)
+        else:
+            s_cnt += tot & 1
+    d = sum(b[v] for v in iso) + s_cnt - sum(b[v] for v in U)
+    return tuple(iso), s_cnt, d
+
+
+def isolated_vertices(G: Graph, U: Iterable[int]) -> tuple[int, ...]:
+    """I(U): vertices outside U whose neighbors all lie inside U.  With
+    U empty this is the set of isolated vertices of G itself."""
+    return _tutte_terms(G, _check_subset(U, G.n), (0,) * G.n)[0]
 
 
 def s_count(G: Graph, U: Iterable[int], b: Iterable[int]) -> int:
     """S(G-U): number of components of G-U that have at least two vertices
     and odd total b."""
-    tu = set(_check_subset(U, G.n))
-    tb = check_bvector(b, G.n)
-    return sum(
-        1
-        for comp in _components_minus(G, tu)
-        if len(comp) >= 2 and sum(tb[v] for v in comp) % 2 == 1
-    )
+    return _tutte_terms(G, _check_subset(U, G.n), check_bvector(b, G.n))[1]
 
 
 def tutte_deficiency(G: Graph, U: Iterable[int], b: Iterable[int]) -> int:
     """sum_{I(U)} b + S(G-U) - sum_U b.  Positive means U certifies that no
     perfect b-matching exists."""
-    tu = _check_subset(U, G.n)
-    tb = check_bvector(b, G.n)
-    iso = isolated_vertices(G, tu)
-    return sum(tb[v] for v in iso) + s_count(G, tu, tb) - sum(tb[v] for v in tu)
+    return _tutte_terms(G, _check_subset(U, G.n), check_bvector(b, G.n))[2]
 
 
 @dataclass(frozen=True)
@@ -143,14 +133,21 @@ class ViolatingSet:
         }
 
 
+def _certificate(
+    G: Graph, U: tuple[int, ...], b: Sequence[int]
+) -> Optional[ViolatingSet]:
+    """The certificate at a sorted in-range U for a validated b, every
+    field computed from the definition, or None if U does not violate."""
+    iso, s, d = _tutte_terms(G, U, b)
+    return ViolatingSet(U, iso, s, d) if d >= 1 else None
+
+
 def violating_set(G: Graph, U: Iterable[int], b: Iterable[int]) -> ViolatingSet:
     """Build the certificate at U, recomputing every field from the
     definition.  Raises if U does not actually violate the condition."""
     tu = _check_subset(U, G.n)
     tb = check_bvector(b, G.n)
-    iso = isolated_vertices(G, tu)
-    s = s_count(G, tu, tb)
-    d = sum(tb[v] for v in iso) + s - sum(tb[v] for v in tu)
+    iso, s, d = _tutte_terms(G, tu, tb)
     if d < 1:
         raise InstanceError(f"subset {tu} has deficiency {d}, not a violation")
     return ViolatingSet(tu, iso, s, d)
@@ -234,45 +231,31 @@ def check_tutte_enumeration(
     tb = check_bvector(b, G.n)
     if G.n > limit:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
-    nbr = _neighbor_masks(G)
-    all_mask = (1 << G.n) - 1
-    best: Optional[ViolatingSet] = None
-    for size in range(G.n + 1):
-        for combo in combinations(range(G.n), size):
-            umask = 0
-            for v in combo:
-                umask |= 1 << v
-            iso, s = _subset_stats(nbr, all_mask, tb, umask)
-            d = sum(tb[v] for v in _bits(iso)) + s - sum(tb[v] for v in combo)
-            if d >= 1 and (best is None or d > best.deficiency):
-                best = ViolatingSet(combo, tuple(_bits(iso)), s, d)
-    return best
+    return BMatchEngine(G)._enum_worst(tb)
 
 
-def expand_graph(
-    G: Graph,
-    b: Iterable[int],
-    *,
-    max_sum_b: int = MAX_SUM_B,
-    max_edge_copies: int = MAX_EDGE_COPIES,
-) -> tuple[Graph, tuple[int, ...]]:
+def expand_graph(G: Graph, b: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Vertex-splitting expansion: b(v) copies of each vertex, and for each
     edge {u,v} an edge between every copy of u and every copy of v.  A
     perfect b-matching of G corresponds exactly to a perfect matching of
     the expansion.  Returns (expanded graph, copy_of) with copy_of[i] the
-    original vertex of copy i.
+    original vertex of copy i.  Raises BudgetError when sum(b) exceeds
+    MAX_SUM_B or the copied edges exceed MAX_EDGE_COPIES.
     """
-    tb = check_bvector(b, G.n)
-    sum_b = sum(tb)
-    edge_copies = sum(tb[u] * tb[v] for u, v in G.edges)
-    if sum_b > max_sum_b or edge_copies > max_edge_copies:
+    return _expand(G, check_bvector(b, G.n))
+
+
+def _expand(G: Graph, b: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
+    sum_b = sum(b)
+    edge_copies = sum(b[u] * b[v] for u, v in G.edges)
+    if sum_b > MAX_SUM_B or edge_copies > MAX_EDGE_COPIES:
         raise BudgetError(
             "expansion budget exceeded", sum_b=sum_b, edge_copies=edge_copies
         )
     first = [0] * (G.n + 1)
     for v in range(G.n):
-        first[v + 1] = first[v] + tb[v]
-    copy_of = tuple(v for v in range(G.n) for _ in range(tb[v]))
+        first[v + 1] = first[v] + b[v]
+    copy_of = tuple(v for v in range(G.n) for _ in range(b[v]))
     edges = []
     for u, v in G.edges:
         for i in range(first[u], first[u + 1]):
@@ -281,18 +264,15 @@ def expand_graph(
     return Graph(sum_b, tuple(edges)), copy_of
 
 
-def solve_bmatching_expansion(
-    G: Graph,
-    b: Iterable[int],
-    *,
-    max_sum_b: int = MAX_SUM_B,
-    max_edge_copies: int = MAX_EDGE_COPIES,
-) -> Optional[IncrementPlan]:
+def solve_bmatching_expansion(G: Graph, b: Iterable[int]) -> Optional[IncrementPlan]:
     """Construct a perfect b-matching by maximum matching on the expansion,
-    or return None if the expansion has no perfect matching."""
-    expanded, copy_of = expand_graph(
-        G, b, max_sum_b=max_sum_b, max_edge_copies=max_edge_copies
-    )
+    or return None if the expansion has no perfect matching.  The
+    expansion budgets of expand_graph apply."""
+    return _solve_expansion(G, check_bvector(b, G.n))
+
+
+def _solve_expansion(G: Graph, b: Sequence[int]) -> Optional[IncrementPlan]:
+    expanded, copy_of = _expand(G, b)
     match = matching.maximum_matching([expanded.neighbors(v) for v in range(expanded.n)])
     if any(m == -1 for m in match):
         return None
@@ -308,11 +288,16 @@ def solve_bmatching_expansion(
 def verify_plan_perfect(G: Graph, b: Iterable[int], plan: IncrementPlan) -> bool:
     """True iff the plan's multiplicities sum to exactly b(v) at every
     vertex."""
-    tb = check_bvector(b, G.n)
-    return apply_plan(G, (0,) * G.n, plan) == tb
+    return _plan_is_perfect(G, check_bvector(b, G.n), plan)
+
+
+def _plan_is_perfect(G: Graph, b: Sequence[int], plan: IncrementPlan) -> bool:
+    return _apply_plan(G, (0,) * G.n, plan) == tuple(b)
 
 
 def _two_color(G: Graph) -> Optional[list[int]]:
+    """Color 0/1 per vertex, the lowest id of each component colored 0;
+    None when G has an odd cycle."""
     color = [-1] * G.n
     for s in range(G.n):
         if color[s] != -1:
@@ -334,7 +319,9 @@ class BMatchEngine:
     """Reusable per-graph solver.  Graph-only structure (coloring,
     adjacency masks, incidence) is computed once; decide() and outcome()
     can then be called for many demand vectors, which is what the binary
-    search over targets does."""
+    search over targets does.  The engine trusts its demand vectors:
+    callers pass a tuple of n non-negative ints (the module's public
+    functions validate before calling it)."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -369,20 +356,12 @@ class BMatchEngine:
         if self.n <= _DECIDE_ENUM_N:
             vs = self._enum_worst(b)
             return (vs is None), vs
-        vs = self._try_certificate(b, ())
+        vs = _certificate(self.G, (), b)
         if vs is not None:
             return False, vs
         if self._milp_feasible(b):
             return True, None
         return False, self._witness_large(b)
-
-    def _try_certificate(
-        self, b: Sequence[int], U: Iterable[int]
-    ) -> Optional[ViolatingSet]:
-        try:
-            return violating_set(self.G, U, b)
-        except InstanceError:
-            return None
 
     def _enum_worst(self, b: Sequence[int]) -> Optional[ViolatingSet]:
         best = None
@@ -414,7 +393,7 @@ class BMatchEngine:
             # the whole smaller-sum side is a violating set: deleting it
             # isolates the entire other side
             U = side0 if t0 < t1 else side1
-            return False, violating_set(self.G, U, b)
+            return False, self._cut(b, U)
         sm = self.sides[self.small_side]
         other = self.sides[1 - self.small_side]
         k = len(sm)
@@ -445,8 +424,15 @@ class BMatchEngine:
             if worst_gap == 0:
                 return True, None
             U = sorted(other[i] for i in _bits(nx[worst_mask]))
-            return False, violating_set(self.G, U, b)
+            return False, self._cut(b, U)
         return self._decide_bipartite_flow(b)
+
+    def _cut(self, b: Sequence[int], U: Sequence[int]) -> ViolatingSet:
+        # the bipartite cuts violate by construction; U is sorted
+        vs = _certificate(self.G, tuple(U), b)
+        if vs is None:
+            raise RuntimeError(f"bipartite cut {list(U)} is not a violating set")
+        return vs
 
     def _build_flow(self, b: Sequence[int]):
         side0, side1 = self.sides
@@ -475,7 +461,7 @@ class BMatchEngine:
         reach = net.residual_reachable(s)
         X = [v for v in side0 if reach[v]]
         U = sorted({u for v in X for u in self.G.neighbors(v)})
-        return False, violating_set(self.G, U, b)
+        return False, self._cut(b, U)
 
     # ---- construction ---------------------------------------------
 
@@ -498,7 +484,7 @@ class BMatchEngine:
         sum_b = sum(b)
         edge_copies = sum(b[u] * b[v] for u, v in self.G.edges)
         if sum_b <= _FAST_SUM_B and edge_copies <= _FAST_EDGE_COPIES:
-            plan = solve_bmatching_expansion(self.G, b)
+            plan = _solve_expansion(self.G, b)
             if plan is None:
                 raise RuntimeError("expansion construction disagrees with decision")
             return plan
@@ -509,7 +495,7 @@ class BMatchEngine:
         if not feasible:
             return BMatchOutcome(witness=vs)
         plan = self.construct(b)
-        if not verify_plan_perfect(self.G, b, plan):
+        if not _plan_is_perfect(self.G, b, plan):
             raise RuntimeError("constructed plan failed verification")
         return BMatchOutcome(plan=plan)
 
@@ -609,11 +595,11 @@ class BMatchEngine:
             for u in self.G.neighbors(v):
                 if u not in crit and b[u] > 0:
                     U.add(u)
-        vs = self._try_certificate(b, sorted(U))
+        vs = _certificate(self.G, tuple(sorted(U)), b)
         if vs is not None:
             return vs
         if self.n <= ENUM_LIMIT:
-            vs = check_tutte_enumeration(self.G, b)
+            vs = self._enum_worst(b)
             if vs is not None:
                 return vs
             raise RuntimeError("engines disagree on feasibility")

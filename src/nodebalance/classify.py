@@ -17,11 +17,9 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .bmatch import BMatchEngine, isolated_vertices
+from .bmatch import ENUM_LIMIT, BMatchEngine, _neighbor_masks, _two_color
 from .core import Graph, Weights, check_weights
 from .errors import BudgetError, InstanceError
-
-ENUM_LIMIT = 20
 
 
 def is_connected(G: Graph) -> bool:
@@ -39,19 +37,12 @@ def is_connected(G: Graph) -> bool:
     return len(seen) == G.n
 
 
-def _neighbor_masks(G: Graph) -> list[int]:
-    masks = [0] * G.n
-    for u, v in G.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def isolated_condition_enum(G: Graph, *, limit: int = ENUM_LIMIT) -> Optional[tuple[int, ...]]:
+def isolated_condition_enum(G: Graph) -> Optional[tuple[int, ...]]:
     """First nonempty U in canonical order (size, then lexicographic)
-    whose deletion isolates at least |U| vertices, or None."""
-    if G.n > limit:
-        raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
+    whose deletion isolates at least |U| vertices, or None.  Raises
+    BudgetError above ENUM_LIMIT vertices."""
+    if G.n > ENUM_LIMIT:
+        raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
     nbr = _neighbor_masks(G)
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):
@@ -68,18 +59,19 @@ def isolated_condition_enum(G: Graph, *, limit: int = ENUM_LIMIT) -> Optional[tu
     return None
 
 
-def independent_set_condition(G: Graph, *, limit: int = ENUM_LIMIT) -> Optional[tuple[int, ...]]:
+def independent_set_condition(G: Graph) -> Optional[tuple[int, ...]]:
     """Berge-style cross-check: a nonempty independent S with
     |N(S)| <= |S|, or None.  Requires a graph with no isolated vertices
     and n >= 2; under that restriction the outcome matches
-    isolated_condition_enum."""
+    isolated_condition_enum.  Raises BudgetError above ENUM_LIMIT
+    vertices."""
     if G.n < 2:
         raise InstanceError("independent-set check needs n >= 2")
     nbr = _neighbor_masks(G)
     if any(m == 0 for m in nbr):
         raise InstanceError("independent-set check requires no isolated vertices")
-    if G.n > limit:
-        raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
+    if G.n > ENUM_LIMIT:
+        raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
     best: Optional[tuple[int, ...]] = None
     best_def = -1
     for size in range(1, G.n + 1):
@@ -141,7 +133,7 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         if not ok:
             assert cert is not None
             witness: Optional[tuple[int, ...]] = None
-            if cert.U and len(isolated_vertices(G, cert.U)) >= len(cert.U):
+            if cert.U and len(cert.isolated) >= len(cert.U):
                 witness = cert.U
             else:
                 witness = isolated_condition_enum(G)
@@ -178,20 +170,9 @@ class Bipartition:
 def bipartition(G: Graph) -> Optional[Bipartition]:
     """Canonical 2-coloring: the lowest-id vertex of each component goes
     to the left side.  None when G has an odd cycle."""
-    color = [-1] * G.n
-    for s in range(G.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in G.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
+    color = _two_color(G)
+    if color is None:
+        return None
     return Bipartition(
         tuple(v for v in range(G.n) if color[v] == 0),
         tuple(v for v in range(G.n) if color[v] == 1),

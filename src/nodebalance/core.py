@@ -23,18 +23,24 @@ def _as_int(x: object, what: str) -> int:
     return x
 
 
+def _check_vector(values: Iterable[int], n: int, noun: str) -> tuple[int, ...]:
+    tv = tuple(values)
+    if len(tv) != n:
+        raise InstanceError(f"expected {n} {noun}s, got {len(tv)}")
+    for v, x in enumerate(tv):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InstanceError(f"{noun} of vertex {v} is not an int: {x!r}")
+        if x < 0:
+            raise InstanceError(f"{noun} of vertex {v} is negative: {x}")
+    return tv
+
+
 def check_weights(w: Iterable[int], n: int) -> Weights:
     """Validate a weight vector for an n-vertex host and return it as a tuple.
 
     Entries must be non-negative integers and the length must equal n.
     """
-    tw = tuple(_as_int(x, "weight") for x in w)
-    if len(tw) != n:
-        raise InstanceError(f"expected {n} weights, got {len(tw)}")
-    for v, x in enumerate(tw):
-        if x < 0:
-            raise InstanceError(f"weight of vertex {v} is negative: {x}")
-    return tw
+    return _check_vector(w, n, "weight")
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,12 @@ def _plan_edge_members(host: Host, key: PlanKey) -> tuple[int, ...]:
 def apply_plan(host: Host, w: Iterable[int], plan: IncrementPlan) -> Weights:
     """Replay a plan: each entry (e, k) adds k to the weight of every vertex
     of e.  Returns the new weight vector; the input is not modified."""
-    out = list(check_weights(w, host.n))
+    return _apply_plan(host, check_weights(w, host.n), plan)
+
+
+def _apply_plan(host: Host, w: Weights, plan: IncrementPlan) -> Weights:
+    # trusted body of apply_plan: w is already a validated weight tuple
+    out = list(w)
     for key, count in plan.items():
         for v in _plan_edge_members(host, key):
             out[v] += count

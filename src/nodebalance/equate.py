@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .bmatch import BMatchEngine, ViolatingSet, verify_plan_perfect
-from .core import Graph, IncrementPlan, check_weights, is_uniform
+from .bmatch import BMatchEngine, ViolatingSet, _plan_is_perfect
+from .core import Graph, IncrementPlan, Weights, check_weights, is_uniform
 from .errors import InstanceError
 
 PARITIES = ("even", "odd")
@@ -48,8 +48,12 @@ def admissible_parities(G: Graph, w: Sequence[int]) -> tuple[str, ...]:
     tw = check_weights(w, G.n)
     if G.n < 1:
         raise InstanceError("parity analysis needs at least one vertex")
-    total = sum(tw)
-    if G.n % 2 == 1:
+    return _parities(G.n, tw)
+
+
+def _parities(n: int, w: Weights) -> tuple[str, ...]:
+    total = sum(w)
+    if n % 2 == 1:
         return ("even",) if total % 2 == 0 else ("odd",)
     return PARITIES if total % 2 == 0 else ()
 
@@ -112,38 +116,15 @@ def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
     )
 
 
-def _finish(
-    eng: BMatchEngine, w: Sequence[int], beta: int
-) -> IncrementPlan:
+def _finish(eng: BMatchEngine, w: Weights, beta: int) -> IncrementPlan:
     b = tuple(beta - x for x in w)
     plan = eng.construct(b)
-    if not verify_plan_perfect(eng.G, b, plan):
+    if not _plan_is_perfect(eng.G, b, plan):
         raise RuntimeError("constructed plan failed verification")
     return plan
 
 
-def _linear_scan(
-    eng: BMatchEngine, w: Sequence[int], parity: str, alpha: int, gamma: int
-) -> ParityOutcome:
-    # fallback used only if a certificate ever failed to tighten the
-    # interval; probes every target of the parity, so it terminates
-    # regardless of certificate quality
-    last = None
-    for beta in range(alpha, gamma + 1, 2):
-        ok, cert = eng.decide(tuple(beta - x for x in w))
-        if ok:
-            return ParityOutcome(beta, _finish(eng, w, beta), None)
-        last = cert
-    return ParityOutcome(None, None, last)
-
-
-def min_beta_for_parity(
-    G: Graph,
-    w: Sequence[int],
-    parity: str,
-    *,
-    engine: Optional[BMatchEngine] = None,
-) -> ParityOutcome:
+def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcome:
     """Binary search for the smallest feasible beta of one parity within
     [max w, n*max w].
 
@@ -156,13 +137,16 @@ def min_beta_for_parity(
     equatable instance has a feasible beta in that window.
     """
     tw = check_weights(w, G.n)
-    if parity not in admissible_parities(G, tw):
+    if G.n < 1 or parity not in _parities(G.n, tw):
         raise InstanceError(f"parity {parity!r} not admissible for this instance")
-    eng = engine if engine is not None else BMatchEngine(G)
-    maxw = max(tw)
-    alpha0 = _align_up(maxw, parity)
-    gamma0 = _align_down(G.n * maxw, parity)
-    alpha, gamma = alpha0, gamma0
+    return _search(BMatchEngine(G), tw, parity)
+
+
+def _search(eng: BMatchEngine, w: Weights, parity: str) -> ParityOutcome:
+    # trusted body of min_beta_for_parity: w validated, parity admissible
+    maxw = max(w)
+    alpha = _align_up(maxw, parity)
+    gamma = _align_down(eng.n * maxw, parity)
     best: Optional[int] = None
     last_cert: Optional[ViolatingSet] = None
     while alpha <= gamma:
@@ -171,24 +155,26 @@ def min_beta_for_parity(
             mid -= 1
         if mid < alpha:
             mid = alpha
-        ok, cert = eng.decide(tuple(mid - x for x in tw))
+        ok, cert = eng.decide(tuple(mid - x for x in w))
         if ok:
             best = mid
             gamma = mid - 2
             continue
         last_cert = cert
-        case = _classify(cert, tw, parity)
+        case = _classify(cert, w, parity)
         if case.kind == "never":
             return ParityOutcome(None, None, cert)
+        # a violation at mid means s*mid < c for its constraint s*beta >= c,
+        # so the bound always lies strictly beyond mid
         if case.kind == "at_least" and case.beta > mid:
-            alpha = max(alpha, case.beta)
+            alpha = case.beta
         elif case.kind == "at_most" and case.beta < mid:
-            gamma = min(gamma, case.beta)
+            gamma = case.beta
         else:
-            return _linear_scan(eng, tw, parity, alpha0, gamma0)
+            raise RuntimeError(f"certificate {cert.U} does not cut the interval at {mid}")
     if best is None:
         return ParityOutcome(None, None, last_cert)
-    return ParityOutcome(best, _finish(eng, tw, best), None)
+    return ParityOutcome(best, _finish(eng, w, best), None)
 
 
 @dataclass(frozen=True)
@@ -241,11 +227,11 @@ def equate(G: Graph, w: Sequence[int]) -> EquateResult:
     uni = is_uniform(tw)
     if uni is not None:
         return EquateResult(beta=uni, plan=IncrementPlan.empty())
-    parities = admissible_parities(G, tw)
+    parities = _parities(G.n, tw)
     if not parities:
         return EquateResult(reason="parity")
     eng = BMatchEngine(G)
-    outcomes = {p: min_beta_for_parity(G, tw, p, engine=eng) for p in parities}
+    outcomes = {p: _search(eng, tw, p) for p in parities}
     found = [(r.beta, p) for p, r in outcomes.items() if r.beta is not None]
     if not found:
         certs = {

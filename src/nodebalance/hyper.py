@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import Hypergraph, IncrementPlan, Weights, apply_plan, check_weights, is_uniform
+from .core import Hypergraph, IncrementPlan, Weights, _apply_plan, check_weights, is_uniform
 from .errors import BudgetError, InstanceError
 
 MAX_EDGES = 16
@@ -114,11 +114,7 @@ def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
 
 
 def hyper_equate(
-    H: Hypergraph,
-    w: Sequence[int],
-    beta_cap: Optional[int] = None,
-    *,
-    max_edges: int = MAX_EDGES,
+    H: Hypergraph, w: Sequence[int], beta_cap: Optional[int] = None
 ) -> HyperEquateResult:
     """Smallest equalizable target in [max w, cap] by exhaustive search.
 
@@ -126,11 +122,12 @@ def hyper_equate(
     pin the target to their common weight or prove infeasibility.  Each
     candidate target must satisfy the divisibility constraint: the total
     added weight n*beta - sum(w) has to be a sum of edge sizes, so it
-    must be a multiple of their gcd.
+    must be a multiple of their gcd.  Raises BudgetError above MAX_EDGES
+    hyperedges.
     """
     tw = check_weights(w, H.n)
-    if H.m > max_edges:
-        raise BudgetError("edge budget exceeded", edges=H.m, limit=max_edges)
+    if H.m > MAX_EDGES:
+        raise BudgetError("edge budget exceeded", edges=H.m, limit=MAX_EDGES)
     maxw = max(tw, default=0)
     cap = default_beta_cap(H, tw) if beta_cap is None else beta_cap
     if cap < maxw:
@@ -167,7 +164,7 @@ def hyper_equate(
     for beta in viable:
         plan = _backtrack(H, tw, beta)
         if plan is not None:
-            if apply_plan(H, tw, plan) != (beta,) * H.n:
+            if _apply_plan(H, tw, plan) != (beta,) * H.n:
                 raise RuntimeError("backtracking plan failed replay check")
             return HyperEquateResult(cap, beta=beta, plan=plan)
     return HyperEquateResult(cap, reason="beta_cap")
@@ -195,15 +192,14 @@ def reduce_pm_to_equate(H: Hypergraph) -> ReductionOutput:
     return ReductionOutput(reduced, weights, (p, q, r))
 
 
-def hyper_perfect_matching(
-    H: Hypergraph, *, limit: int = PM_LIMIT
-) -> Optional[tuple[int, ...]]:
+def hyper_perfect_matching(H: Hypergraph) -> Optional[tuple[int, ...]]:
     """Exact cover of the vertex set by pairwise-disjoint edges, found by
     backtracking that always branches on the lowest uncovered vertex.
     Returns sorted edge indices, or None.  Failed cover states are
-    memoized, which keeps repeated structure from exploding."""
-    if H.n > limit:
-        raise BudgetError("vertex budget exceeded", n=H.n, limit=limit)
+    memoized, which keeps repeated structure from exploding.  Raises
+    BudgetError above PM_LIMIT vertices."""
+    if H.n > PM_LIMIT:
+        raise BudgetError("vertex budget exceeded", n=H.n, limit=PM_LIMIT)
     if H.n == 0:
         return ()
     masks = []

@@ -234,27 +234,43 @@ class Dinic:
                     q.append(u)
         return self.level[t] != -1
 
-    def _dfs(self, v: int, t: int, pushed: int) -> int:
-        if v == t:
-            return pushed
-        while self.it[v] < len(self.head[v]):
-            eid = self.head[v][self.it[v]]
-            u = self.to[eid]
-            if self.cap[eid] > 0 and self.level[u] == self.level[v] + 1:
-                got = self._dfs(u, t, min(pushed, self.cap[eid]))
-                if got:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[v] += 1
-        return 0
+    def _augment(self, s: int, t: int) -> int:
+        """Push one blocking-flow path from s to t in the level graph and
+        return its bottleneck (0 when none is left).  Depth-first with an
+        explicit stack: the current-arc pointer it[v] advances past an arc
+        only when the search below it dead-ends, so arcs are tried in the
+        same order as the textbook recursion, at any path length."""
+        head, to, cap, level, it = self.head, self.to, self.cap, self.level, self.it
+        path: list[int] = []
+        v = s
+        while v != t:
+            arcs = head[v]
+            while it[v] < len(arcs):
+                eid = arcs[it[v]]
+                if cap[eid] > 0 and level[to[eid]] == level[v] + 1:
+                    break
+                it[v] += 1
+            else:
+                if not path:
+                    return 0
+                # dead end: retreat one arc and skip it at its tail
+                v = to[path.pop() ^ 1]
+                it[v] += 1
+                continue
+            path.append(eid)
+            v = to[eid]
+        pushed = min([1 << 62] + [cap[eid] for eid in path])
+        for eid in path:
+            cap[eid] -= pushed
+            cap[eid ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                got = self._dfs(s, t, 1 << 62)
+                got = self._augment(s, t)
                 if not got:
                     break
                 flow += got

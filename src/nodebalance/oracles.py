@@ -14,24 +14,25 @@ from typing import Optional, Sequence
 
 from .bmatch import ENUM_LIMIT, check_tutte_enumeration
 from .core import Graph, IncrementPlan, check_weights, is_uniform
-from .equate import admissible_parities
+from .equate import _parities
 from .errors import BudgetError, InstanceError
 
 MAX_EDGES = 12
 MAX_RANGE = 12
 
 
-def min_beta_scan(G: Graph, w: Sequence[int], *, limit: int = ENUM_LIMIT) -> Optional[int]:
+def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
     """Smallest feasible target by linear scan over [max w, n*max w],
     skipping inadmissible parities; each candidate is tested with the
-    subset enumeration.  Uniform weights return their value directly."""
+    subset enumeration.  Uniform weights return their value directly;
+    otherwise raises BudgetError above ENUM_LIMIT vertices."""
     tw = check_weights(w, G.n)
     uni = is_uniform(tw)
     if uni is not None:
         return uni
-    if G.n > limit:
-        raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
-    parities = admissible_parities(G, tw)
+    if G.n > ENUM_LIMIT:
+        raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
+    parities = _parities(G.n, tw)
     if not parities:
         return None
     bits = {0 if p == "even" else 1 for p in parities}
@@ -39,34 +40,29 @@ def min_beta_scan(G: Graph, w: Sequence[int], *, limit: int = ENUM_LIMIT) -> Opt
     for beta in range(maxw, G.n * maxw + 1):
         if beta % 2 not in bits:
             continue
-        if check_tutte_enumeration(G, tuple(beta - x for x in tw), limit=limit) is None:
+        if check_tutte_enumeration(G, tuple(beta - x for x in tw)) is None:
             return beta
     return None
 
 
-def equate_backtracking(
-    G: Graph,
-    w: Sequence[int],
-    beta: int,
-    *,
-    max_edges: int = MAX_EDGES,
-    max_range: int = MAX_RANGE,
-) -> Optional[IncrementPlan]:
+def equate_backtracking(G: Graph, w: Sequence[int], beta: int) -> Optional[IncrementPlan]:
     """Depth-first search for multiplicities reaching the given target.
 
     Edges are assigned in canonical order with residual-demand pruning; a
     vertex's demand must be exactly met once its last edge is fixed.  The
     only shortcut is the handshake parity check (an odd total demand can
     never be covered by steps of two).  Any valid plan is returned.
+    Raises BudgetError above MAX_EDGES edges or when beta - min(w)
+    exceeds MAX_RANGE.
     """
     tw = check_weights(w, G.n)
     if beta < max(tw, default=0):
         raise InstanceError(f"target {beta} below max weight")
-    if G.m > max_edges:
-        raise BudgetError("edge budget exceeded", edges=G.m, limit=max_edges)
+    if G.m > MAX_EDGES:
+        raise BudgetError("edge budget exceeded", edges=G.m, limit=MAX_EDGES)
     spread = beta - min(tw, default=0)
-    if spread > max_range:
-        raise BudgetError("target range budget exceeded", range=spread, limit=max_range)
+    if spread > MAX_RANGE:
+        raise BudgetError("target range budget exceeded", range=spread, limit=MAX_RANGE)
     residual = [beta - x for x in tw]
     if sum(residual) % 2 == 1:
         return None

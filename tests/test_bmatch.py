@@ -14,6 +14,7 @@ from nodebalance import (
     InstanceError,
     check_tutte_enumeration,
     decide_perfect_bmatching,
+    equate,
     expand_graph,
     isolated_vertices,
     perfect_bmatching,
@@ -233,6 +234,25 @@ class TestEngineAgreement:
             o1 = perfect_bmatching(G, b)
             o2 = perfect_bmatching(G, b)
             assert o1 == o2
+
+    def test_long_relabelled_path(self):
+        # augmenting paths on a randomly relabelled path run thousands of
+        # arcs deep; the flow route must not depend on the recursion limit
+        n = 5000
+        order = list(range(n))
+        random.Random(0).shuffle(order)
+        G = Graph(n, [(order[i], order[i + 1]) for i in range(n - 1)])
+        out = perfect_bmatching(G, (1,) * n)
+        expected = {
+            (min(order[i], order[i + 1]), max(order[i], order[i + 1])): 1
+            for i in range(0, n, 2)
+        }
+        assert dict(out.plan.entries) == expected
+        # both ends one unit up: every other vertex must be lifted once
+        w = [0] * n
+        w[order[0]] = w[order[-1]] = 1
+        res = equate(G, w)
+        assert res.beta == 1 and res.plan.total_steps == n // 2 - 1
 
     def test_empty_set_parity_invariant(self):
         rng = random.Random(11)

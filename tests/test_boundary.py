@@ -1,0 +1,148 @@
+"""Public functions validate their inputs at the API boundary, and the
+trusted bodies behind them rely on what that boundary guarantees."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nodebalance import (
+    Graph,
+    IncrementPlan,
+    InstanceError,
+    admissible_parities,
+    bipartition,
+    check_tutte_enumeration,
+    constraint_bound,
+    equate,
+    is_balanced,
+    isolated_vertices,
+    min_beta_for_parity,
+    s_count,
+    tutte_deficiency,
+    verify_plan_perfect,
+    violating_set,
+)
+from nodebalance.bmatch import BMatchEngine
+from support import path_graph, rand_graph
+
+P3 = path_graph(3)
+
+# each is wrong for a 3-vertex host in exactly one way; 1.0 compares equal
+# to an int, so only a type check rejects it
+BAD_VECTORS = {
+    "wrong_length": (1, 0),
+    "negative": (1, -1, 1),
+    "bool": (1, True, 1),
+    "non_int": (1, 1.0, 1),
+}
+
+VECTOR_TAKERS = {
+    "s_count": lambda x: s_count(P3, {1}, x),
+    "tutte_deficiency": lambda x: tutte_deficiency(P3, {1}, x),
+    "violating_set": lambda x: violating_set(P3, {1}, x),
+    "check_tutte_enumeration": lambda x: check_tutte_enumeration(P3, x),
+    "verify_plan_perfect": lambda x: verify_plan_perfect(P3, x, IncrementPlan.empty()),
+    "admissible_parities": lambda x: admissible_parities(P3, x),
+    "min_beta_for_parity": lambda x: min_beta_for_parity(P3, x, "even"),
+    "equate": lambda x: equate(P3, x),
+    "is_balanced": lambda x: is_balanced(x, bipartition(P3)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("fn", sorted(VECTOR_TAKERS))
+def test_bad_vector_rejected(fn, bad):
+    with pytest.raises(InstanceError):
+        VECTOR_TAKERS[fn](BAD_VECTORS[bad])
+
+
+# the vertex subset U is the vector isolated_vertices takes; a subset has
+# no fixed length, so the other three cases apply
+BAD_SUBSETS = {"negative": {-1}, "bool": {True}, "non_int": {1.0}}
+
+SUBSET_TAKERS = {
+    "isolated_vertices": lambda U: isolated_vertices(P3, U),
+    "s_count": lambda U: s_count(P3, U, (1, 0, 1)),
+    "tutte_deficiency": lambda U: tutte_deficiency(P3, U, (1, 0, 1)),
+    "violating_set": lambda U: violating_set(P3, U, (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SUBSETS))
+@pytest.mark.parametrize("fn", sorted(SUBSET_TAKERS))
+def test_bad_subset_rejected(fn, bad):
+    with pytest.raises(InstanceError):
+        SUBSET_TAKERS[fn](BAD_SUBSETS[bad])
+
+
+def _cuts_past(G, w, beta, parity):
+    """True when decide at beta is feasible, or its certificate's
+    constraint on beta excludes beta and everything on one side of it."""
+    ok, cert = BMatchEngine(G).decide(tuple(beta - x for x in w))
+    if ok:
+        return True
+    case = constraint_bound(
+        len(cert.U),
+        len(cert.isolated),
+        sum(w[v] for v in cert.U),
+        sum(w[v] for v in cert.isolated),
+        cert.s_count,
+        parity,
+    )
+    return (
+        case.kind == "never"
+        or (case.kind == "at_least" and case.beta > beta)
+        or (case.kind == "at_most" and case.beta < beta)
+    )
+
+
+@st.composite
+def probe_case(draw):
+    # small general graphs (enumeration route) or bipartite graphs whose
+    # smaller side reaches past the subset-DP cut-off (flow route)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    else:
+        a, c = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+        n = a + c
+        pairs = [(u, a + v) for u in range(a) for v in range(c)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60))
+    w = tuple(draw(st.integers(0, 5)) for _ in range(n))
+    return Graph(n, edges), w, draw(st.integers(0, 2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(probe_case())
+def test_decide_certificate_cuts_past_probe(case):
+    G, w, lift = case
+    parities = admissible_parities(G, w)
+    assume(parities)
+    for parity in parities:
+        beta = max(w) + lift
+        if beta % 2 != (parity == "odd"):
+            beta += 1
+        assert _cuts_past(G, w, beta, parity)
+
+
+def test_decide_certificate_cuts_past_probe_larger_general():
+    # non-bipartite graphs above the enumeration cut-off take the
+    # remaining decide routes
+    rng = random.Random(12)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(10, 12)
+        G = rand_graph(rng, n, 0.3)
+        if bipartition(G) is not None:
+            continue
+        w = tuple(rng.randint(0, 4) for _ in range(n))
+        for parity in admissible_parities(G, w):
+            beta = max(w) + rng.randint(0, n)
+            if beta % 2 != (parity == "odd"):
+                beta += 1
+            assert _cuts_past(G, w, beta, parity)
+        checked += 1

@@ -175,3 +175,50 @@ class TestDinic:
         assert d.max_flow(0, 3) == 1
         seen = d.residual_reachable(0)
         assert seen[0] and seen[1] and not seen[2] and not seen[3]
+
+    def test_long_augmenting_path(self):
+        # a 10^4-arc chain: the path is far deeper than Python's recursion limit
+        n = 10_000
+        d = Dinic(n)
+        for v in range(n - 1):
+            d.add_edge(v, v + 1, 2 + v % 3)
+        assert d.max_flow(0, n - 1) == 2
+
+    def test_same_flow_as_recursive_search(self):
+        # the textbook recursive blocking-flow search; the explicit-stack
+        # version must try arcs in the same order and leave the same flow
+        class Recursive(Dinic):
+            def _augment(self, s, t):
+                return self._dfs(s, t, 1 << 62)
+
+            def _dfs(self, v, t, pushed):
+                if v == t:
+                    return pushed
+                while self.it[v] < len(self.head[v]):
+                    eid = self.head[v][self.it[v]]
+                    u = self.to[eid]
+                    if self.cap[eid] > 0 and self.level[u] == self.level[v] + 1:
+                        got = self._dfs(u, t, min(pushed, self.cap[eid]))
+                        if got:
+                            self.cap[eid] -= got
+                            self.cap[eid ^ 1] += got
+                            return got
+                    self.it[v] += 1
+                return 0
+
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            arcs = [
+                (u, v, rng.randint(1, 5))
+                for u in range(n)
+                for v in range(n)
+                if u != v and rng.random() < 0.3
+            ]
+            nets = [Dinic(n), Recursive(n)]
+            for net in nets:
+                for u, v, c in arcs:
+                    net.add_edge(u, v, c)
+            flows = [net.max_flow(0, n - 1) for net in nets]
+            assert flows[0] == flows[1]
+            assert nets[0].cap == nets[1].cap
