@@ -56,7 +56,6 @@ from .errors import (
     BudgetError,
     InstanceError,
     ParseError,
-    WitnessUnavailableError,
 )
 from .hyper import (
     HyperEquateResult,
@@ -86,7 +85,6 @@ __all__ = [
     "ReductionOutput",
     "UniversalVerdict",
     "ViolatingSet",
-    "WitnessUnavailableError",
     "admissible_parities",
     "apply_plan",
     "bipartition",

@@ -14,14 +14,14 @@ counts the non-singleton components of G-U whose total b is odd.  A
 subset violating the inequality is a self-contained infeasibility
 certificate; its deficiency (right side minus left side) is at least 1.
 
-Three engines share that certificate contract:
+Two exact integer engines share that certificate contract:
 
-- bipartite graphs: integer max flow (exact at any size here);
-- small general graphs: full subset enumeration for the decision, and
-  vertex-splitting expansion plus blossom matching for construction;
-- larger general graphs: an exact integer-programming backend (HiGHS via
-  scipy) with a deficiency-set extraction in the spirit of the
-  Gallai-Edmonds decomposition.
+- bipartite graphs: subset DP over the smaller side when it is small,
+  integer max flow otherwise;
+- graphs with an odd cycle: max flow on the bipartite double cover for
+  the fractional condition, rounding around Euler circuits, and a parity
+  repair by blossom matching on a small residual expansion (Anstee 1987),
+  whose Gallai-Edmonds decomposition gives the certificate.
 
 Every witness, no matter which engine produced it, is re-verified against
 the subset definition before being returned.
@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import matching
 from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector
-from .errors import BudgetError, InstanceError, WitnessUnavailableError
+from .errors import BudgetError, InstanceError
 
 # hard budgets for the expansion construction
 MAX_SUM_B = 50_000
@@ -43,12 +43,9 @@ MAX_EDGE_COPIES = 5_000_000
 # default cap for full subset enumeration (2^n subsets)
 ENUM_LIMIT = 20
 
-# dispatch thresholds: below these the blossom expansion is used for
-# construction, and subset work replaces flow / integer programming
-_FAST_SUM_B = 80
-_FAST_EDGE_COPIES = 400
+# bipartite graphs whose smaller side has at most this many vertices are
+# decided by subset DP instead of max flow
 _SUBSET_SIDE = 10
-_DECIDE_ENUM_N = 9
 
 
 def check_bvector(b: Iterable[int], n: int) -> tuple[int, ...]:
@@ -231,7 +228,28 @@ def check_tutte_enumeration(
     tb = check_bvector(b, G.n)
     if G.n > limit:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
-    return BMatchEngine(G)._enum_worst(tb)
+    nbr = _neighbor_masks(G)
+    all_mask = (1 << G.n) - 1
+    best = None
+    best_d = 0
+    for size in range(G.n + 1):
+        for combo in combinations(range(G.n), size):
+            umask = 0
+            bu = 0
+            for v in combo:
+                umask |= 1 << v
+                bu += tb[v]
+            iso, s = _subset_stats(nbr, all_mask, tb, umask)
+            d = s - bu
+            m = iso
+            while m:
+                lsb = m & -m
+                d += tb[lsb.bit_length() - 1]
+                m ^= lsb
+            if d >= 1 and d > best_d:
+                best = ViolatingSet(combo, tuple(_bits(iso)), s, d)
+                best_d = d
+    return best
 
 
 def expand_graph(G: Graph, b: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -242,10 +260,14 @@ def expand_graph(G: Graph, b: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     original vertex of copy i.  Raises BudgetError when sum(b) exceeds
     MAX_SUM_B or the copied edges exceed MAX_EDGE_COPIES.
     """
-    return _expand(G, check_bvector(b, G.n))
+    adj, copy_of = _expand(G, check_bvector(b, G.n))
+    edges = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j]
+    return Graph(len(adj), edges), copy_of
 
 
-def _expand(G: Graph, b: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
+def _expand(G: Graph, b: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(adjacency lists, copy_of) of the expansion for a validated b.  The
+    copies of a vertex are twins and share one ascending list."""
     sum_b = sum(b)
     edge_copies = sum(b[u] * b[v] for u, v in G.edges)
     if sum_b > MAX_SUM_B or edge_copies > MAX_EDGE_COPIES:
@@ -256,12 +278,11 @@ def _expand(G: Graph, b: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
     for v in range(G.n):
         first[v + 1] = first[v] + b[v]
     copy_of = tuple(v for v in range(G.n) for _ in range(b[v]))
-    edges = []
-    for u, v in G.edges:
-        for i in range(first[u], first[u + 1]):
-            for j in range(first[v], first[v + 1]):
-                edges.append((i, j))
-    return Graph(sum_b, tuple(edges)), copy_of
+    nbrs = [
+        [i for u in G.neighbors(v) for i in range(first[u], first[u + 1])]
+        for v in range(G.n)
+    ]
+    return [nbrs[v] for v in copy_of], copy_of
 
 
 def solve_bmatching_expansion(G: Graph, b: Iterable[int]) -> Optional[IncrementPlan]:
@@ -272,11 +293,17 @@ def solve_bmatching_expansion(G: Graph, b: Iterable[int]) -> Optional[IncrementP
 
 
 def _solve_expansion(G: Graph, b: Sequence[int]) -> Optional[IncrementPlan]:
-    expanded, copy_of = _expand(G, b)
-    match = matching.maximum_matching([expanded.neighbors(v) for v in range(expanded.n)])
+    adj, copy_of = _expand(G, b)
+    match = matching.maximum_matching(adj)
     if any(m == -1 for m in match):
         return None
-    counts: dict[tuple[int, int], int] = {}
+    return _expansion_plan(copy_of, match, {})
+
+
+def _expansion_plan(
+    copy_of: Sequence[int], match: Sequence[int], counts: dict[tuple[int, int], int]
+) -> IncrementPlan:
+    """The plan that adds one step per matched pair of copies to counts."""
     for i, j in enumerate(match):
         if i < j:
             u, v = copy_of[i], copy_of[j]
@@ -315,20 +342,60 @@ def _two_color(G: Graph) -> Optional[list[int]]:
     return color
 
 
+def _round_circuits(G: Graph, twice: Sequence[int], y: list[int]) -> int:
+    """Round the half edges (odd twice[e]) of a half-integral solution.
+
+    Each Euler circuit of the half edges, found by an iterative Hierholzer
+    walk, gets one unit added to y on every other edge, from its second
+    edge on.  A vertex the circuit passes through meets one rounded-down
+    and one rounded-up edge per pass, so an even circuit rounds exactly and
+    an odd one leaves its start vertex one unit short.  Returns the number
+    of odd circuits."""
+    inc: list[list[int]] = [[] for _ in range(G.n)]
+    for j, (u, v) in enumerate(G.edges):
+        if twice[j] & 1:
+            inc[u].append(j)
+            inc[v].append(j)
+    used = [False] * G.m
+    ptr = [0] * G.n
+    odd = 0
+    for root in range(G.n):
+        stack = [(root, -1)]
+        circuit = []
+        while stack:
+            v, arrived = stack[-1]
+            arcs = inc[v]
+            while ptr[v] < len(arcs) and used[arcs[ptr[v]]]:
+                ptr[v] += 1
+            if ptr[v] == len(arcs):
+                stack.pop()
+                if arrived >= 0:
+                    circuit.append(arrived)
+                continue
+            j = arcs[ptr[v]]
+            used[j] = True
+            a, c = G.edges[j]
+            stack.append((c if a == v else a, j))
+        for j in circuit[1::2]:
+            y[j] += 1
+        odd += len(circuit) & 1
+    return odd
+
+
 class BMatchEngine:
-    """Reusable per-graph solver.  Graph-only structure (coloring,
-    adjacency masks, incidence) is computed once; decide() and outcome()
-    can then be called for many demand vectors, which is what the binary
-    search over targets does.  The engine trusts its demand vectors:
-    callers pass a tuple of n non-negative ints (the module's public
-    functions validate before calling it)."""
+    """Reusable per-graph solver.  Graph-only structure (the coloring, and
+    for bipartite graphs the sides) is computed once; decide() and
+    outcome() can then be called for many demand vectors, which is what
+    the binary search over targets does.  Bipartite graphs go through
+    subset DP or max flow, graphs with an odd cycle through the
+    double-cover flow plus parity repair of _general.  The engine trusts
+    its demand vectors: callers pass a tuple of n non-negative ints (the
+    module's public functions validate before calling it)."""
 
     def __init__(self, G: Graph):
         self.G = G
         self.n = G.n
         self.colors = _two_color(G)
-        self.nbr = _neighbor_masks(G)
-        self.all_mask = (1 << G.n) - 1
         if self.colors is not None:
             side0 = [v for v in range(G.n) if self.colors[v] == 0]
             side1 = [v for v in range(G.n) if self.colors[v] == 1]
@@ -342,7 +409,6 @@ class BMatchEngine:
             self.small_nbr = [
                 sum(1 << pos[u] for u in G.neighbors(v)) for v in sm
             ]
-        self._milp_matrix = None
 
     # ---- decision -------------------------------------------------
 
@@ -353,37 +419,8 @@ class BMatchEngine:
             return True, None
         if self.colors is not None:
             return self._decide_bipartite(b)
-        if self.n <= _DECIDE_ENUM_N:
-            vs = self._enum_worst(b)
-            return (vs is None), vs
-        vs = _certificate(self.G, (), b)
-        if vs is not None:
-            return False, vs
-        if self._milp_feasible(b):
-            return True, None
-        return False, self._witness_large(b)
-
-    def _enum_worst(self, b: Sequence[int]) -> Optional[ViolatingSet]:
-        best = None
-        best_d = 0
-        for size in range(self.n + 1):
-            for combo in combinations(range(self.n), size):
-                umask = 0
-                bu = 0
-                for v in combo:
-                    umask |= 1 << v
-                    bu += b[v]
-                iso, s = _subset_stats(self.nbr, self.all_mask, b, umask)
-                d = s - bu
-                m = iso
-                while m:
-                    lsb = m & -m
-                    d += b[lsb.bit_length() - 1]
-                    m ^= lsb
-                if d >= 1 and d > best_d:
-                    best = ViolatingSet(combo, tuple(_bits(iso)), s, d)
-                    best_d = d
-        return best
+        out = self._general(b)
+        return out.feasible, out.witness
 
     def _decide_bipartite(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
         side0, side1 = self.sides
@@ -428,10 +465,10 @@ class BMatchEngine:
         return self._decide_bipartite_flow(b)
 
     def _cut(self, b: Sequence[int], U: Sequence[int]) -> ViolatingSet:
-        # the bipartite cuts violate by construction; U is sorted
+        # every cut the engine takes is re-verified here; U is sorted
         vs = _certificate(self.G, tuple(U), b)
         if vs is None:
-            raise RuntimeError(f"bipartite cut {list(U)} is not a violating set")
+            raise RuntimeError(f"cut {list(U)} is not a violating set")
         return vs
 
     def _build_flow(self, b: Sequence[int]):
@@ -463,6 +500,80 @@ class BMatchEngine:
         U = sorted({u for v in X for u in self.G.neighbors(v)})
         return False, self._cut(b, U)
 
+    # ---- graphs with an odd cycle ---------------------------------
+
+    def _general(self, b: Sequence[int]) -> BMatchOutcome:
+        """Plan or verified certificate, by integer steps only.
+
+        The double cover has copies v_L and v_R of every vertex, each with
+        demand b(v), and arcs u_L->v_R and v_L->u_R for every edge uv.  A
+        short max flow leaves reachable left copies A and right copies B
+        with b(A) > b(B); S = A\\B is stable with N(S) inside B\\A, so
+        U = N(S) violates.  A full flow halves to a half-integral perfect
+        b-matching x, which _round_circuits rounds to y with one unit
+        missing at the start of each of its k odd circuits."""
+        G, n = self.G, self.n
+        vs = _certificate(G, (), b)
+        if vs is not None:
+            return BMatchOutcome(witness=vs)
+        total = sum(b)
+        s, t = 2 * n, 2 * n + 1
+        net = matching.Dinic(2 * n + 2)
+        for v in range(n):
+            net.add_edge(s, v, b[v])
+            net.add_edge(n + v, t, b[v])
+        inf = total + 1
+        arcs = [
+            (net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges
+        ]
+        if net.max_flow(s, t) < total:
+            reach = net.residual_reachable(s)
+            S = [v for v in range(n) if reach[v] and not reach[n + v]]
+            U = sorted({u for v in S for u in G.neighbors(v)})
+            return BMatchOutcome(witness=self._cut(b, U))
+        twice = [net.edge_flow(e1) + net.edge_flow(e2) for e1, e2 in arcs]
+        y = [x // 2 for x in twice]
+        k = _round_circuits(G, twice, y)
+        if k == 0:
+            return BMatchOutcome(plan=IncrementPlan(tuple(zip(G.edges, y))))
+        return self._repair(b, y, k)
+
+    def _repair(self, b: Sequence[int], y: Sequence[int], k: int) -> BMatchOutcome:
+        """Parity repair of a rounding y that leaves k units exposed.
+
+        If a perfect b-matching exists, one lies within k of y on every
+        edge (the closed alternating walks of their difference drop out,
+        leaving k/2 walks between exposed units that pass each vertex at
+        most twice), so it keeps L = max(0, y - k).  A maximum matching on
+        the expansion of b - L(delta), seeded with y - L, either is perfect
+        (the plan is L plus the matching) or gives the Gallai-Edmonds set
+        U = N(D)\\D, for the vertices D with a copy missed by some maximum
+        matching, which _cut re-verifies against b.  The expansion budgets
+        of expand_graph apply."""
+        G = self.G
+        low = [max(0, x - k) for x in y]
+        rest = list(b)
+        for (u, v), x in zip(G.edges, low):
+            rest[u] -= x
+            rest[v] -= x
+        adj, copy_of = _expand(G, rest)
+        free = [0] * self.n  # next unmatched copy of each vertex
+        for v in range(1, self.n):
+            free[v] = free[v - 1] + rest[v - 1]
+        match = [-1] * len(adj)
+        for (u, v), x, lo in zip(G.edges, y, low):
+            for _ in range(x - lo):
+                i, j = free[u], free[v]
+                match[i], match[j] = j, i
+                free[u] += 1
+                free[v] += 1
+        match = matching.maximum_matching(adj, match)
+        if all(j != -1 for j in match):
+            return BMatchOutcome(plan=_expansion_plan(copy_of, match, dict(zip(G.edges, low))))
+        D = {copy_of[i] for i in matching.even_reachable(adj, match)}
+        U = sorted({u for v in D for u in G.neighbors(v)} - D)
+        return BMatchOutcome(witness=self._cut(b, U))
+
     # ---- construction ---------------------------------------------
 
     def construct(self, b: Sequence[int]) -> IncrementPlan:
@@ -481,14 +592,10 @@ class BMatchEngine:
                 if x:
                     entries.append((edge, x))
             return IncrementPlan(tuple(entries))
-        sum_b = sum(b)
-        edge_copies = sum(b[u] * b[v] for u, v in self.G.edges)
-        if sum_b <= _FAST_SUM_B and edge_copies <= _FAST_EDGE_COPIES:
-            plan = _solve_expansion(self.G, b)
-            if plan is None:
-                raise RuntimeError("expansion construction disagrees with decision")
-            return plan
-        return self._milp_construct(b)
+        plan = self._general(b).plan
+        if plan is None:
+            raise RuntimeError("construction disagrees with decision")
+        return plan
 
     def outcome(self, b: Sequence[int]) -> BMatchOutcome:
         feasible, vs = self.decide(b)
@@ -498,114 +605,6 @@ class BMatchEngine:
         if not _plan_is_perfect(self.G, b, plan):
             raise RuntimeError("constructed plan failed verification")
         return BMatchOutcome(plan=plan)
-
-    # ---- integer-programming backend ------------------------------
-
-    def _matrix(self):
-        if self._milp_matrix is None:
-            import numpy as np
-
-            m = self.G.m
-            A = np.zeros((self.n, m))
-            for j, (u, v) in enumerate(self.G.edges):
-                A[u, j] = 1.0
-                A[v, j] = 1.0
-            self._milp_matrix = A
-        return self._milp_matrix
-
-    def _milp(self, b: Sequence[int], maximize: bool):
-        import numpy as np
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        A = self._matrix()
-        m = self.G.m
-        tb = np.asarray(b, dtype=float)
-        ub = np.array(
-            [min(b[u], b[v]) for u, v in self.G.edges], dtype=float
-        )
-        if maximize:
-            cons = LinearConstraint(A, -np.inf, tb)
-            c = -np.ones(m)
-        else:
-            cons = LinearConstraint(A, tb, tb)
-            c = np.zeros(m)
-        res = milp(
-            c=c,
-            constraints=cons,
-            integrality=np.ones(m),
-            bounds=Bounds(0, ub),
-        )
-        return res
-
-    def _milp_feasible(self, b: Sequence[int]) -> bool:
-        if self.G.m == 0:
-            # only the all-zero demand is satisfiable without edges, and
-            # that case never reaches the solver
-            return False
-        res = self._milp(b, maximize=False)
-        if res.status == 0:
-            return True
-        if res.status == 2:
-            return False
-        raise RuntimeError(f"integer solver failed: {res.message}")
-
-    def _milp_construct(self, b: Sequence[int]) -> IncrementPlan:
-        res = self._milp(b, maximize=False)
-        if res.status != 0:
-            raise RuntimeError("solver construction disagrees with decision")
-        entries = []
-        for j, (u, v) in enumerate(self.G.edges):
-            x = round(res.x[j])
-            if x:
-                entries.append(((u, v), x))
-        return IncrementPlan(tuple(entries))
-
-    def _max_value(self, b: Sequence[int]) -> int:
-        """Maximum total multiplicity subject to per-vertex sums <= b."""
-        if self.G.m == 0:
-            return 0
-        res = self._milp(b, maximize=True)
-        if res.status != 0:
-            raise RuntimeError(f"integer solver failed: {res.message}")
-        return round(-res.fun)
-
-    def _witness_large(self, b: Sequence[int]) -> ViolatingSet:
-        """Certificate extraction for the integer-programming path.
-
-        A vertex v with b(v) > 0 is deficiency-critical when lowering its
-        demand by one does not lower the maximum b-matching value (some
-        maximum b-matching already leaves a unit of v unmatched); this is
-        the demand-vector analogue of the vertices missed by some maximum
-        matching.  Taking U = (neighbors of critical vertices that are not
-        themselves critical and have positive demand) plus all zero-demand
-        vertices yields a violating set; re-verified before returning.
-        """
-        nu = self._max_value(b)
-        critical = []
-        for v in range(self.n):
-            if b[v] == 0:
-                continue
-            b2 = list(b)
-            b2[v] -= 1
-            if self._max_value(b2) == nu:
-                critical.append(v)
-        crit = set(critical)
-        U = {v for v in range(self.n) if b[v] == 0}
-        for v in critical:
-            for u in self.G.neighbors(v):
-                if u not in crit and b[u] > 0:
-                    U.add(u)
-        vs = _certificate(self.G, tuple(sorted(U)), b)
-        if vs is not None:
-            return vs
-        if self.n <= ENUM_LIMIT:
-            vs = self._enum_worst(b)
-            if vs is not None:
-                return vs
-            raise RuntimeError("engines disagree on feasibility")
-        raise WitnessUnavailableError(
-            f"infeasible but no certificate extracted (n={self.n})"
-        )
 
 
 def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
@@ -617,8 +616,7 @@ def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
 
 def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     """Full interface: a verified plan when feasible, else a verified
-    violating set.  Raises WitnessUnavailableError only when infeasibility
-    was established but no certificate could be extracted and the graph is
-    too large for enumeration."""
+    violating set.  On a graph with an odd cycle the parity repair may
+    raise BudgetError under the expansion budgets of expand_graph."""
     tb = check_bvector(b, G.n)
     return BMatchEngine(G).outcome(tb)

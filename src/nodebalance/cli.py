@@ -33,7 +33,7 @@ from .core import (
     serialize_instance,
 )
 from .equate import equate
-from .errors import BudgetError, InstanceError, ParseError, WitnessUnavailableError
+from .errors import BudgetError, InstanceError, ParseError
 from .hyper import hyper_equate, reduce_pm_to_equate
 from .oracles import equate_backtracking, min_beta_scan
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (ParseError, InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetError, WitnessUnavailableError) as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -30,8 +30,3 @@ class BudgetError(RuntimeError):
             extra = ", ".join(f"{k}={v}" for k, v in sorted(detail.items()))
             message = f"{message} ({extra})"
         super().__init__(message)
-
-
-class WitnessUnavailableError(RuntimeError):
-    """Infeasibility was established but no certificate could be extracted
-    within the configured limits."""

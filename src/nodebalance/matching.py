@@ -9,7 +9,7 @@ classification module reuses Dinic for bipartite matching checks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Optional, Sequence
 
 Adjacency = Sequence[Sequence[int]]
 
@@ -103,11 +103,13 @@ class _BlossomSearch:
         return -1
 
 
-def maximum_matching(adj: Adjacency) -> list[int]:
-    """Maximum matching; returns match[v] = partner or -1.  Deterministic
-    for a fixed adjacency order."""
+def maximum_matching(adj: Adjacency, start: Optional[Sequence[int]] = None) -> list[int]:
+    """Maximum matching; returns match[v] = partner or -1.  Grows the
+    matching `start` (left unchanged) when given, else a greedy maximal
+    one; a search runs only from the vertices it leaves exposed.
+    Deterministic for a fixed adjacency order and start."""
     n = len(adj)
-    match = greedy_matching(adj)
+    match = greedy_matching(adj) if start is None else list(start)
     search = _BlossomSearch(adj, match)
     for v in range(n):
         if match[v] != -1:

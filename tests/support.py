@@ -164,3 +164,23 @@ def nx_graph(G: Graph):
     g.add_nodes_from(range(G.n))
     g.add_edges_from(G.edges)
     return g
+
+
+NEAR_OFFSET = 10**16  # past 2^53, where a float solver loses the units
+
+
+def near_2p53_instance() -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """(G, w, w + 10^16): a sparse connected graph with n=41, m=100 and
+    weights 0-10 of even total, drawn from random.Random("near-2p53:0") in
+    the same order as the benchmark's near-2^53 instance."""
+    n, m = 41, 100
+    rng = random.Random("near-2p53:0")
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    w = [rng.randint(0, 10) for _ in range(n)]
+    if sum(w) % 2:
+        v = rng.randrange(n)
+        w[v] += 1 if w[v] < 10 else -1
+    return Graph(n, sorted(edges)), tuple(w), tuple(NEAR_OFFSET + x for x in w)

@@ -12,10 +12,12 @@ from nodebalance import (
     BudgetError,
     Graph,
     InstanceError,
+    apply_plan,
     check_tutte_enumeration,
     decide_perfect_bmatching,
     equate,
     expand_graph,
+    is_uniform,
     isolated_vertices,
     perfect_bmatching,
     s_count,
@@ -24,8 +26,16 @@ from nodebalance import (
     verify_plan_perfect,
     violating_set,
 )
-from nodebalance.bmatch import BMatchEngine
-from support import complete_graph, cycle_graph, path_graph, rand_graph
+from nodebalance.bmatch import BMatchEngine, _round_circuits
+from support import (
+    NEAR_OFFSET,
+    complete_graph,
+    cycle_graph,
+    near_2p53_instance,
+    path_graph,
+    rand_connected,
+    rand_graph,
+)
 
 P3 = path_graph(3)
 K2 = path_graph(2)
@@ -211,7 +221,7 @@ class TestEngineAgreement:
             self.check_one(G, b)
 
     def test_larger_vs_enumeration(self):
-        # n in 10..14: engine must leave the tiny-case route and still agree
+        # n in 10..14, past the small graphs of test_small_random
         rng = random.Random(9)
         for _ in range(40):
             n = rng.randint(10, 14)
@@ -267,6 +277,115 @@ class TestEngineAgreement:
             if sum(b) % 2 == 0:
                 b[0] += 1
             assert tutte_deficiency(G, set(), tuple(b)) >= 1
+
+
+def tutte_structured(rng):
+    """n = 10..14: a small U = {0..k-1} with k+1 components hanging off it,
+    each built around a triangle.  Demands are 0..30, capped so that no
+    vertex outweighs its neighbours in its component, each component total
+    is made odd where it can be, and U gets at most k+2 units, so the
+    odd-component term of the condition is what usually decides."""
+    n = rng.randint(10, 14)
+    k = rng.randint(1, (n - 3) // 4)
+    rest = list(range(k, n))
+    rng.shuffle(rest)
+    comps = [rest[i :: k + 1] for i in range(k + 1)]
+    edges = set()
+    for comp in comps:
+        for i in range(1, len(comp)):
+            u, v = comp[rng.randrange(i)], comp[i]
+            edges.add((min(u, v), max(u, v)))
+        for u, v in itertools.combinations(comp, 2):
+            if rng.random() < 0.5 or (u in comp[:3] and v in comp[:3]):
+                edges.add((min(u, v), max(u, v)))
+        for _ in range(rng.randint(1, 2)):
+            edges.add((rng.randrange(k), rng.choice(comp)))
+    G = Graph(n, sorted(edges))
+    b = [0] * k + [rng.randint(0, 30) for _ in range(n - k)]
+    for comp in comps:
+        for v in comp:
+            b[v] = min(b[v], sum(b[u] for u in G.neighbors(v) if u >= k))
+        top = max(comp, key=lambda v: b[v])
+        if sum(b[v] for v in comp) % 2 == 0 and b[top]:
+            b[top] -= 1
+    for _ in range(rng.randint(0, k + 1)):
+        b[rng.randrange(k)] += 1
+    if sum(b) % 2:
+        b[0] += 1
+    return G, tuple(b)
+
+
+def fractionally_feasible(G, b):
+    """A perfect b-matching with half-integral multiplicities exists: a
+    flow of value sum(b) on the bipartite double cover (networkx)."""
+    import networkx as nx
+
+    net = nx.DiGraph()
+    for v in range(G.n):
+        net.add_edge("s", ("L", v), capacity=b[v])
+        net.add_edge(("R", v), "t", capacity=b[v])
+    for u, v in G.edges:  # no capacity attribute: unbounded
+        net.add_edge(("L", u), ("R", v))
+        net.add_edge(("L", v), ("R", u))
+    return nx.maximum_flow_value(net, "s", "t") == sum(b)
+
+
+class TestGeneralEngine:
+    def test_parity_repair_vs_enumeration(self):
+        # the instances the double-cover flow passes and parity refutes
+        # reach the repair's Gallai-Edmonds certificate
+        rng = random.Random(12)
+        parity_only = 0
+        for _ in range(100):
+            G, b = tutte_structured(rng)
+            enum = check_tutte_enumeration(G, b)
+            out = perfect_bmatching(G, b)
+            assert out.feasible == (enum is None)
+            if out.feasible:
+                assert verify_plan_perfect(G, b, out.plan)
+                continue
+            assert tutte_deficiency(G, out.witness.U, b) == out.witness.deficiency >= 1
+            parity_only += fractionally_feasible(G, b)
+        assert parity_only >= 10
+
+    def test_odd_circuit_leaves_start_short(self):
+        # C5 on 0..4 and C4 on 5..8, every edge at one half: one circuit
+        # each; only the odd one falls short, at its start vertex 0
+        G = Graph(9, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 1) % 4) for i in range(4)])
+        y = [0] * G.m
+        assert _round_circuits(G, [1] * G.m, y) == 1
+        got = apply_plan(G, (0,) * G.n, dict(zip(G.edges, y)))
+        assert got == (0, 1, 1, 1, 1, 1, 1, 1, 1)
+        # two triangles through vertex 0 make one even circuit: exact
+        bowtie = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+        y = [0] * bowtie.m
+        assert _round_circuits(bowtie, [1] * bowtie.m, y) == 0
+        assert apply_plan(bowtie, (0,) * 5, dict(zip(bowtie.edges, y))) == (2, 1, 1, 1, 1)
+
+    def test_near_2p53(self):
+        # weights past 2^53 solve exactly: the twin's answer moved by 10^16
+        G, w, big = near_2p53_instance()
+        twin = equate(G, w)
+        res = equate(G, big)
+        assert twin.feasible and res.beta == twin.beta + NEAR_OFFSET
+        assert is_uniform(apply_plan(G, big, res.plan)) == res.beta
+
+    def test_n320_leaf_certificate(self):
+        import time
+
+        rng = random.Random(0)
+        G = rand_connected(rng, 320, 0.0094)
+        w = tuple(rng.randint(0, 10) for _ in range(320))
+        t = time.perf_counter()
+        res = equate(G, w)
+        assert time.perf_counter() - t < 1.0
+        assert not res.feasible and res.reason == "certificate"
+        for cert in res.certificates.values():
+            # |U| = |I(U)|: the subset violates at every target
+            for beta in (max(w), max(w) + 1, G.n * max(w)):
+                b = tuple(beta - x for x in w)
+                assert tutte_deficiency(G, cert.U, b) == cert.deficiency >= 1
 
 
 @st.composite

@@ -1,11 +1,16 @@
 """End-to-end command tests: golden output, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from nodebalance import parse_instance
+from nodebalance import Graph, equate, parse_instance, serialize_instance
 from nodebalance.cli import main
+from support import NEAR_OFFSET, near_2p53_instance
 
 K3_100 = "instances/k3_100.txt"
 PUZZLE = "instances/puzzle_c6.txt"
@@ -189,6 +194,40 @@ class TestExitCodes:
         bad.write_text("graph 2\ne 0 5\n")
         rc, out, err = run(capsys, "equate", str(bad))
         assert rc == 2 and out == "" and "line 2" in err
+
+
+class TestNonBipartite:
+    def test_equate_near_2p53(self, capfd, tmp_path):
+        # capfd also sees writes to file descriptor 1 from native code
+        G, w, big = near_2p53_instance()
+        path = tmp_path / "near.txt"
+        path.write_text(serialize_instance(G, big))
+        rc = main(["equate", str(path)])
+        out = capfd.readouterr().out
+        assert rc == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["beta"] == equate(G, w).beta + NEAR_OFFSET
+
+    def test_equate_imports_no_scipy(self, tmp_path):
+        # the Petersen graph: odd cycles and ten vertices
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        path = tmp_path / "petersen.txt"
+        path.write_text(serialize_instance(petersen, (1,) + (0,) * 8 + (1,)))
+        code = (
+            "import contextlib, io, sys\n"
+            "from nodebalance.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main(['equate', {str(path)!r}])\n"
+            "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "False", "False"]
 
 
 class TestVerify:

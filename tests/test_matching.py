@@ -53,6 +53,29 @@ class TestMaximumMatching:
             check_valid(adj_of(G), match)
             assert matching_size(match) == nx_matching_size(G)
 
+    def test_grows_a_start_matching(self):
+        # the middle edge of P4 is maximal but not maximum
+        adj = adj_of(path_graph(4))
+        start = [-1, 2, 1, -1]
+        assert maximum_matching(adj, start) == [1, 0, 3, 2]
+        assert start == [-1, 2, 1, -1]
+        rng = random.Random(5)
+        grown = 0
+        for _ in range(300):
+            G = rand_graph(rng, rng.randint(2, 12), rng.choice((0.25, 0.5, 0.8)))
+            adj = adj_of(G)
+            # a random matching, usually short of maximum
+            start = [-1] * G.n
+            for u, v in rng.sample(G.edges, len(G.edges)):
+                if start[u] == start[v] == -1 and rng.random() < 0.5:
+                    start[u], start[v] = v, u
+            match = maximum_matching(adj, start)
+            check_valid(adj, match)
+            assert matching_size(match) == nx_matching_size(G)
+            grown += matching_size(start) < matching_size(match)
+            even_reachable(adj, match)  # raises on a non-maximum matching
+        assert grown >= 100
+
     def test_greedy_is_valid_matching(self):
         rng = random.Random(2)
         for _ in range(100):
