@@ -45,7 +45,7 @@ ENUM_LIMIT = 20
 
 # bipartite graphs whose smaller side has at most this many vertices are
 # decided by subset DP instead of max flow
-_SUBSET_SIDE = 10
+_SUBSET_SIDE = 6
 
 
 def check_bvector(b: Iterable[int], n: int) -> tuple[int, ...]:
@@ -386,11 +386,13 @@ class BMatchEngine:
     """Reusable per-graph solver.  Graph-only structure (the coloring, and
     for bipartite graphs the sides) is computed once; decide() and
     outcome() can then be called for many demand vectors, which is what
-    the binary search over targets does.  Bipartite graphs go through
-    subset DP or max flow, graphs with an odd cycle through the
-    double-cover flow plus parity repair of _general.  The engine trusts
-    its demand vectors: callers pass a tuple of n non-negative ints (the
-    module's public functions validate before calling it)."""
+    equate's jumps from below through the targets do.  Bipartite graphs
+    go through subset DP or max flow, graphs with an odd cycle through the
+    double-cover flow plus parity repair of _general.  The plan of the
+    last demand a full solve found feasible is kept, so construct() on
+    that demand does not solve it again.  The engine trusts its demand
+    vectors: callers pass a tuple of n non-negative ints (the module's
+    public functions validate before calling it)."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -409,6 +411,8 @@ class BMatchEngine:
             self.small_nbr = [
                 sum(1 << pos[u] for u in G.neighbors(v)) for v in sm
             ]
+        # (demand, plan) of the last feasible flow or _general solve
+        self._solved: Optional[tuple[Sequence[int], IncrementPlan]] = None
 
     # ---- decision -------------------------------------------------
 
@@ -419,8 +423,7 @@ class BMatchEngine:
             return True, None
         if self.colors is not None:
             return self._decide_bipartite(b)
-        out = self._general(b)
-        return out.feasible, out.witness
+        return self._decide_general(b)
 
     def _decide_bipartite(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
         side0, side1 = self.sides
@@ -489,9 +492,11 @@ class BMatchEngine:
 
     def _decide_bipartite_flow(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
         side0, _ = self.sides
-        net, _, s, t = self._build_flow(b)
+        net, mid, s, t = self._build_flow(b)
         flow = net.max_flow(s, t)
         if flow == sum(b[v] for v in side0):
+            flows = tuple((edge, net.edge_flow(eid)) for edge, eid in mid.items())
+            self._solved = (b, IncrementPlan(flows))
             return True, None
         # min-cut argument: the reachable part X of the pushing side has
         # b(X) > b(N(X)); U = N(X) is then a violating set
@@ -501,6 +506,12 @@ class BMatchEngine:
         return False, self._cut(b, U)
 
     # ---- graphs with an odd cycle ---------------------------------
+
+    def _decide_general(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
+        out = self._general(b)
+        if out.plan is not None:
+            self._solved = (b, out.plan)
+        return out.feasible, out.witness
 
     def _general(self, b: Sequence[int]) -> BMatchOutcome:
         """Plan or verified certificate, by integer steps only.
@@ -577,25 +588,19 @@ class BMatchEngine:
     # ---- construction ---------------------------------------------
 
     def construct(self, b: Sequence[int]) -> IncrementPlan:
-        """Build a plan for a demand vector already decided feasible."""
+        """Build a plan for a demand vector already decided feasible: the
+        plan of the solve that decided it, or of a new solve when the
+        subset DP decided it or another demand was solved since."""
         if all(x == 0 for x in b):
             return IncrementPlan.empty()
-        if self.colors is not None:
-            side0, _ = self.sides
-            net, mid, s, t = self._build_flow(b)
-            flow = net.max_flow(s, t)
-            if flow != sum(b[v] for v in side0):
-                raise RuntimeError("flow construction disagrees with decision")
-            entries = []
-            for edge, eid in mid.items():
-                x = net.edge_flow(eid)
-                if x:
-                    entries.append((edge, x))
-            return IncrementPlan(tuple(entries))
-        plan = self._general(b).plan
-        if plan is None:
-            raise RuntimeError("construction disagrees with decision")
-        return plan
+        if self._solved is None or self._solved[0] != b:
+            if self.colors is not None:
+                ok, _ = self._decide_bipartite_flow(b)
+            else:
+                ok, _ = self._decide_general(b)
+            if not ok:
+                raise RuntimeError("construction disagrees with decision")
+        return self._solved[1]
 
     def outcome(self, b: Sequence[int]) -> BMatchOutcome:
         feasible, vs = self.decide(b)

@@ -7,9 +7,14 @@ increments, so feasibility at beta is exactly perfect b-matching
 feasibility.  Each step raises the total weight by 2, which pins
 n*beta = sum(w) (mod 2) and restricts beta to at most two parities; per
 parity the feasible targets form an interval, because every vertex subset
-contributes one constraint linear in beta.  The search binary-searches
-each admissible parity class inside [max w, n*max w], using the violating
-set returned by an infeasible probe to cut the interval.
+contributes one constraint linear in beta.  The search jumps from below
+through each admissible parity class: it probes the aligned max w, and
+each infeasible probe's violating set is a constraint that either lifts
+the next probe to its aligned lower bound, certifying every target
+skipped, or rules out every larger target, which ends the class.  A jump
+past n*max w also ends it; that guard only keeps the loop finite, since
+no valid certificate points past it.  The first feasible probe is the
+answer, and its solve supplies the plan.
 """
 
 from __future__ import annotations
@@ -116,25 +121,18 @@ def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
     )
 
 
-def _finish(eng: BMatchEngine, w: Weights, beta: int) -> IncrementPlan:
-    b = tuple(beta - x for x in w)
-    plan = eng.construct(b)
-    if not _plan_is_perfect(eng.G, b, plan):
-        raise RuntimeError("constructed plan failed verification")
-    return plan
-
-
 def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcome:
-    """Binary search for the smallest feasible beta of one parity within
-    [max w, n*max w].
+    """Smallest feasible beta of one parity, by jumps from below.
 
-    A feasible probe records beta and continues below it; an infeasible
-    probe classifies its violating set via constraint_bound and cuts the
-    interval (a "never" constraint ends the search immediately).  The
-    certificate of the last failing probe is reported when no beta is
-    found.  Note the search window itself: targets outside [max w,
-    n*max w] are never probed, which is sound for minimality because any
-    equatable instance has a feasible beta in that window.
+    The first probe is the aligned max w.  An infeasible probe's violating
+    set, classified by constraint_bound, either gives an "at_least" bound
+    strictly past the probe, where the next probe jumps (every target
+    skipped violates that same set), or an "at_most"/"never" bound, which
+    leaves no feasible target at or above the probe and ends the search
+    with that certificate.  A jump past n*max w also ends it: the guard
+    keeps the loop finite whatever the certificates, and valid ones never
+    reach it.  The first feasible probe is the answer, and its plan comes
+    from the engine's solve of that probe.
     """
     tw = check_weights(w, G.n)
     if G.n < 1 or parity not in _parities(G.n, tw):
@@ -144,37 +142,23 @@ def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcom
 
 def _search(eng: BMatchEngine, w: Weights, parity: str) -> ParityOutcome:
     # trusted body of min_beta_for_parity: w validated, parity admissible
-    maxw = max(w)
-    alpha = _align_up(maxw, parity)
-    gamma = _align_down(eng.n * maxw, parity)
-    best: Optional[int] = None
-    last_cert: Optional[ViolatingSet] = None
-    while alpha <= gamma:
-        mid = (alpha + gamma) // 2
-        if mid % 2 != _parity_bit(parity):
-            mid -= 1
-        if mid < alpha:
-            mid = alpha
-        ok, cert = eng.decide(tuple(mid - x for x in w))
+    guard = eng.n * max(w)
+    beta = _align_up(max(w), parity)
+    while True:
+        b = tuple(beta - x for x in w)
+        ok, cert = eng.decide(b)
         if ok:
-            best = mid
-            gamma = mid - 2
-            continue
-        last_cert = cert
+            plan = eng.construct(b)
+            if not _plan_is_perfect(eng.G, b, plan):
+                raise RuntimeError("constructed plan failed verification")
+            return ParityOutcome(beta, plan, None)
         case = _classify(cert, w, parity)
-        if case.kind == "never":
+        if case.kind != "at_least" or case.beta > guard:
             return ParityOutcome(None, None, cert)
-        # a violation at mid means s*mid < c for its constraint s*beta >= c,
-        # so the bound always lies strictly beyond mid
-        if case.kind == "at_least" and case.beta > mid:
-            alpha = case.beta
-        elif case.kind == "at_most" and case.beta < mid:
-            gamma = case.beta
-        else:
-            raise RuntimeError(f"certificate {cert.U} does not cut the interval at {mid}")
-    if best is None:
-        return ParityOutcome(None, None, last_cert)
-    return ParityOutcome(best, _finish(eng, w, best), None)
+        # a violation at beta means s*beta < c for its constraint s*beta >= c
+        if case.beta <= beta:
+            raise RuntimeError(f"certificate {cert.U} does not cut past {beta}")
+        beta = case.beta
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Minimum uniform target: parity analysis, bound classification, search."""
 
+import importlib
 import itertools
 import random
 
@@ -16,21 +17,31 @@ from nodebalance import (
     equate,
     is_uniform,
     min_beta_scan,
+    violating_set,
 )
+from nodebalance.bmatch import _SUBSET_SIDE, BMatchEngine, _tutte_terms
 from nodebalance.equate import (
     BoundCase,
     admissible_parities,
     constraint_bound,
     min_beta_for_parity,
 )
+from nodebalance.matching import Dinic
 from support import (
     C6_PUZZLE_W,
+    NEAR_OFFSET,
     complete_graph,
     cycle_graph,
+    near_2p53_instance,
     path_graph,
+    rand_bipartite,
+    rand_connected,
     rand_graph,
     star_graph,
 )
+
+# the module itself: on the package, the name equate is the function
+EQ = importlib.import_module("nodebalance.equate")
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -209,3 +220,204 @@ class TestSearchAgainstOracles:
                 if feas:
                     lo, hi = min(feas), max(feas)
                     assert feas == list(range(lo, hi + 1, 2))
+
+
+def count_calls(monkeypatch, cls, name):
+    """A one-element list counting the calls of cls.name for the rest of
+    the test."""
+    calls = [0]
+    orig = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def planned_weights(rng, G, X):
+    """Weights that a random plan of 0..X steps per edge equalizes: the
+    plan's load at each vertex, subtracted from a constant at least the
+    largest load.  The constant is a feasible target."""
+    load = [0] * G.n
+    for u, v in G.edges:
+        x = rng.randint(0, X)
+        load[u] += x
+        load[v] += x
+    top = max(load) + rng.randint(0, X)
+    return tuple(top - x for x in load), top
+
+
+def sparse_connected(rng, n):
+    """Connected, about 2.5n edges; an odd cycle almost surely."""
+    return rand_connected(rng, n, 3 / (n - 1))
+
+
+def assert_certifies(G, w, parity, cert):
+    """The certificate of an infeasible parity holds at the target the
+    search probed last, recovered from its deficiency d = c - s*beta; a
+    slope-zero set violates at every target, the aligned max w included."""
+    s = len(cert.U) - len(cert.isolated)
+    c = sum(w[v] for v in cert.U) - sum(w[v] for v in cert.isolated) + cert.s_count
+    if s == 0:
+        assert cert.deficiency == c
+        beta = EQ._align_up(max(w), parity)
+    else:
+        assert (c - cert.deficiency) % s == 0
+        beta = (c - cert.deficiency) // s
+    assert beta % 2 == (0 if parity == "even" else 1) and beta >= max(w)
+    assert violating_set(G, cert.U, tuple(beta - x for x in w)) == cert
+
+
+class TestJumpFromBelow:
+    @pytest.mark.parametrize("n", [41, 200])
+    @pytest.mark.parametrize("X", [5, 10**6, 10**15])
+    def test_probes_per_parity_at_most_n_plus_1(self, monkeypatch, n, X):
+        # weight-independent probe count, on planned (feasible) and random
+        # (mostly infeasible) weights
+        decides = count_calls(monkeypatch, BMatchEngine, "decide")
+        rng = random.Random(f"probes:{n}:{X}")
+        for _ in range(3):
+            G = sparse_connected(rng, n)
+            w, top = planned_weights(rng, G, X)
+            betas = []
+            for weights in (w, tuple(rng.randint(0, X) for _ in range(n))):
+                for parity in admissible_parities(G, weights):
+                    decides[0] = 0
+                    out = min_beta_for_parity(G, weights, parity)
+                    assert 1 <= decides[0] <= n + 1
+                    if out.beta is None:
+                        assert_certifies(G, weights, parity, out.certificate)
+                    elif weights is w:
+                        betas.append(out.beta)
+            assert min(betas) <= top
+
+    def test_near_2p53_three_probes(self, monkeypatch):
+        # the binary search over [max w, n*max w] took 58 probes here
+        G, w, big = near_2p53_instance()
+        twin = equate(G, w).beta
+        decides = count_calls(monkeypatch, BMatchEngine, "decide")
+        res = equate(G, big)
+        assert res.beta == twin + NEAR_OFFSET
+        assert decides[0] <= 3
+
+    def test_guard_exit(self, monkeypatch):
+        # K3 with w=(0,2,2): beta=2 fails, and its certificate jumps to
+        # beta=4, which is feasible.  Valid certificates never point past
+        # n*max w (see below), so a bound past it is forced here: the
+        # search stops at the first probe and reports that probe's
+        # certificate
+        w = (0, 2, 2)
+        decides = count_calls(monkeypatch, BMatchEngine, "decide")
+        assert min_beta_for_parity(K3, w, "even").beta == 4 and decides[0] == 2
+        past = BoundCase("at_least", K3.n * max(w) + 2)
+        monkeypatch.setattr(EQ, "_classify", lambda cert, w, parity: past)
+        decides[0] = 0
+        out = min_beta_for_parity(K3, w, "even")
+        assert out.beta is None and decides[0] == 1
+        assert violating_set(K3, out.certificate.U, (2, 0, 0)) == out.certificate
+        assert_certifies(K3, w, "even", out.certificate)
+
+    def test_valid_bounds_within_guard(self):
+        # every violating set of every small instance bounds beta from
+        # below by at most n*max w, so the guard never cuts a search short
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            G = rand_graph(rng, n, rng.choice((0.25, 0.5, 0.75)))
+            w = tuple(rng.randint(0, 4) for _ in range(n))
+            if max(w) == 0 or not admissible_parities(G, w):
+                continue
+            for parity in admissible_parities(G, w):
+                b = tuple(EQ._align_up(max(w), parity) - x for x in w)
+                for size in range(n + 1):
+                    for U in itertools.combinations(range(n), size):
+                        iso, s_odd, _ = _tutte_terms(G, U, b)
+                        case = constraint_bound(
+                            len(U), len(iso), sum(w[v] for v in U),
+                            sum(w[v] for v in iso), s_odd, parity,
+                        )
+                        if case.kind == "at_least":
+                            assert case.beta <= n * max(w)
+
+    def test_infeasible_certificates_recertify(self):
+        rng = random.Random(19)
+        infeasible = 0
+        for i in range(120):
+            n = rng.randint(3, 40)
+            if i % 3:
+                G = sparse_connected(rng, n)
+            else:
+                a = rng.randint(1, n - 1)
+                G, _ = rand_bipartite(rng, a, n - a, 0.3)
+            w = tuple(rng.randint(0, rng.choice((3, 10, 10**12))) for _ in range(n))
+            if is_uniform(w) is not None:
+                continue
+            res = equate(G, w)
+            for parity, cert in res.certificates.items():
+                infeasible += 1
+                assert_certifies(G, w, parity, cert)
+        assert infeasible >= 40
+
+
+class TestConstructOnce:
+    def test_general_solves_once_per_probe(self, monkeypatch):
+        rng = random.Random(23)
+        G = sparse_connected(rng, 41)
+        assert BMatchEngine(G).colors is None
+        w, _ = planned_weights(rng, G, 10**6)
+        decides = count_calls(monkeypatch, BMatchEngine, "decide")
+        solves = count_calls(monkeypatch, BMatchEngine, "_general")
+        res = equate(G, w)
+        assert res.feasible and apply_plan(G, w, res.plan) == (res.beta,) * G.n
+        assert solves[0] == decides[0] >= 1
+
+    def test_bipartite_flow_once_per_probe(self, monkeypatch):
+        # equal sides, so every probe has equal side totals and runs the flow
+        rng = random.Random(29)
+        k = _SUBSET_SIDE + 2
+        G, _ = rand_bipartite(rng, k, k, 0.4)
+        assert BMatchEngine(G).colors is not None
+        w, _ = planned_weights(rng, G, 50)
+        decides = count_calls(monkeypatch, BMatchEngine, "decide")
+        flows = count_calls(monkeypatch, Dinic, "max_flow")
+        res = equate(G, w)
+        assert res.feasible and apply_plan(G, w, res.plan) == (res.beta,) * G.n
+        assert flows[0] == decides[0] >= 1
+
+
+class TestMetamorphic:
+    """Above the oracles' reach: relabelling keeps (feasible, beta), and
+    adding c to every weight moves beta by exactly c."""
+
+    @pytest.mark.parametrize("n", [50, 101, 200])
+    def test_relabel_and_shift(self, n):
+        rng = random.Random(f"metamorphic:{n}")
+        for planned in (True, False):
+            G = sparse_connected(rng, n)
+            w = planned_weights(rng, G, 10)[0] if planned else tuple(
+                rng.randint(0, 10) for _ in range(n)
+            )
+            base = equate(G, w)
+            if planned:
+                assert base.feasible
+            perm = list(range(n))
+            rng.shuffle(perm)
+            H = Graph(n, [(perm[u], perm[v]) for u, v in G.edges])
+            hw = [0] * n
+            for v in range(n):
+                hw[perm[v]] = w[v]
+            moved = equate(H, tuple(hw))
+            assert (moved.feasible, moved.beta) == (base.feasible, base.beta)
+            for c in (1, 2, 10**6 + 1, 10**15):
+                wc = tuple(x + c for x in w)
+                res = equate(G, wc)
+                assert res.feasible == base.feasible
+                if res.feasible:
+                    assert res.beta == base.beta + c
+                    assert apply_plan(G, wc, res.plan) == (res.beta,) * n
+                else:
+                    assert res.reason == base.reason
+                    for parity, cert in res.certificates.items():
+                        assert_certifies(G, wc, parity, cert)
