@@ -342,6 +342,26 @@ def _two_color(G: Graph) -> Optional[list[int]]:
     return color
 
 
+def _double_cover(G: Graph, b: Sequence[int]) -> tuple[matching.Dinic, list[tuple[int, int]]]:
+    """Flow network of the bipartite double cover, before any flow.
+
+    Node v is the left copy v_L and n + v the right copy v_R; the source
+    2n feeds each v_L and each v_R drains into the sink 2n + 1, both with
+    capacity b(v).  Every edge uv of G gives the arcs u_L->v_R and
+    v_L->u_R of capacity sum(b) + 1, whose ids are returned in edge order.
+    A max flow of value sum(b) is a perfect b-matching of the cover, and
+    halved, a half-integral perfect b-matching of G."""
+    n = G.n
+    s, t = 2 * n, 2 * n + 1
+    net = matching.Dinic(2 * n + 2)
+    for v in range(n):
+        net.add_edge(s, v, b[v])
+        net.add_edge(n + v, t, b[v])
+    inf = sum(b) + 1
+    arcs = [(net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges]
+    return net, arcs
+
+
 def _round_circuits(G: Graph, twice: Sequence[int], y: list[int]) -> int:
     """Round the half edges (odd twice[e]) of a half-integral solution.
 
@@ -516,27 +536,19 @@ class BMatchEngine:
     def _general(self, b: Sequence[int]) -> BMatchOutcome:
         """Plan or verified certificate, by integer steps only.
 
-        The double cover has copies v_L and v_R of every vertex, each with
-        demand b(v), and arcs u_L->v_R and v_L->u_R for every edge uv.  A
-        short max flow leaves reachable left copies A and right copies B
-        with b(A) > b(B); S = A\\B is stable with N(S) inside B\\A, so
-        U = N(S) violates.  A full flow halves to a half-integral perfect
-        b-matching x, which _round_circuits rounds to y with one unit
-        missing at the start of each of its k odd circuits."""
+        A short max flow on the double cover (_double_cover) leaves
+        reachable left copies A and right copies B with b(A) > b(B);
+        S = A\\B is stable with N(S) inside B\\A, so U = N(S) violates.  A
+        full flow halves to a half-integral perfect b-matching x, which
+        _round_circuits rounds to y with one unit missing at the start of
+        each of its k odd circuits."""
         G, n = self.G, self.n
         vs = _certificate(G, (), b)
         if vs is not None:
             return BMatchOutcome(witness=vs)
         total = sum(b)
+        net, arcs = _double_cover(G, b)
         s, t = 2 * n, 2 * n + 1
-        net = matching.Dinic(2 * n + 2)
-        for v in range(n):
-            net.add_edge(s, v, b[v])
-            net.add_edge(n + v, t, b[v])
-        inf = total + 1
-        arcs = [
-            (net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges
-        ]
         if net.max_flow(s, t) < total:
             reach = net.residual_reachable(s)
             S = [v for v in range(n) if reach[v] and not reach[n + v]]

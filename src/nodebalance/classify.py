@@ -3,11 +3,18 @@
 Two characterizations drive this module.  A graph admits equalization
 from *every* starting assignment exactly when it is connected, has an odd
 number of vertices, and no nonempty vertex subset U isolates |U| or more
-vertices when deleted.  A bipartite graph with a fixed bipartition admits
-equalization from every *balanced* assignment (equal side totals) exactly
-when it satisfies the strict Hall condition: |N(X)| > |X| for every
-nonempty X properly contained in one side.  Both are checked by a
-scalable method plus a definitional enumeration kept as a reference.
+vertices when deleted.  For a connected graph that is the same as its
+bipartite double cover (copies v_L, v_R of each vertex, u_L v_R and v_L u_R
+for each edge uv) being elementary: no nonempty independent S has
+|N(S)| <= |S|, and S = I(U) or U = N(S) turns either violation into the
+other.  One unit-demand max flow on the cover and one strong-component
+pass over its residual arcs decide it and give a witness U.
+
+A bipartite graph with a fixed bipartition admits equalization from every
+*balanced* assignment (equal side totals) exactly when it satisfies the
+strict Hall condition: |N(X)| > |X| for every nonempty X properly
+contained in one side; it is checked by pairwise-deletion matchings.
+Definitional enumerations of both conditions are kept as references.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .bmatch import ENUM_LIMIT, BMatchEngine, _neighbor_masks, _two_color
+from .bmatch import ENUM_LIMIT, _double_cover, _neighbor_masks, _two_color
 from .core import Graph, Weights, check_weights
 from .errors import BudgetError, InstanceError
 
@@ -112,12 +119,34 @@ class UniversalVerdict:
 def universal_equatable(G: Graph) -> UniversalVerdict:
     """Can every assignment be equalized?
 
-    Fast negatives: disconnected, or even vertex count.  Otherwise each
-    vertex v is probed with the demand vector b(v) = 2n, b(u) = 2n+1
-    elsewhere; all probes feasible proves the verdict (the probe demands
-    are extreme enough that a failing subset must isolate |U| or more
-    vertices).  Graphs with at most one vertex are trivially universal:
-    every assignment is already uniform.
+    Fast negatives: disconnected, or even vertex count.  Graphs with at
+    most one vertex are trivially universal: every assignment is already
+    uniform.  Otherwise one unit-demand max flow on the bipartite double
+    cover (bmatch._double_cover) and one strong-component pass over its
+    residual arcs decide it: G is universal iff the cover is elementary,
+    i.e. has a perfect matching whose alternating digraph is strongly
+    connected, i.e. |N(X)| > |X| for every nonempty proper X (Lovasz and
+    Plummer, Matching Theory, section 4.1).
+
+    Why that is the isolation condition, for connected G with n >= 2: a
+    nonempty U isolating |U| or more vertices gives S = I(U), nonempty,
+    proper and independent with N(S) inside U, so X = S breaks the cover's
+    strict Hall condition.  Conversely take X nonempty and proper with
+    |N(X)| <= |X|.  S = X \\ N(X) is independent, N(S) lies in N(X) \\ X
+    (a neighbor of S inside X would put S in N(X)), and
+    |N(X) \\ X| <= |X \\ N(X)|, so |N(S)| <= |S|.  S is nonempty, else
+    N(X) would lie inside X and G would be disconnected.  Then U = N(S) is
+    the witness: nonempty, and it isolates all of S.
+
+    X comes from the flow.  A short flow leaves the reachable left copies
+    X with N(X) among the reachable right copies, fewer than |X| of them;
+    X = V is ruled out because N(V) = V.  A full flow is a perfect
+    matching, and its residual arcs (u_L->v_R along every edge, v_R back
+    to its matched left copy) form the alternating digraph.  The strong
+    component found first has no residual arc leaving it, so the right
+    neighbors of its left copies X lie in it, each matched into X.  X is
+    nonempty (a right copy brings its matched left copy) and proper (X = V
+    would bring in every right copy, and then the whole digraph).
     """
     if G.n <= 1:
         return UniversalVerdict(True)
@@ -125,22 +154,50 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         return UniversalVerdict(False, "disconnected")
     if G.n % 2 == 0:
         return UniversalVerdict(False, "even_order")
-    eng = BMatchEngine(G)
     n = G.n
-    for v in range(n):
-        b = tuple(2 * n if u == v else 2 * n + 1 for u in range(n))
-        ok, cert = eng.decide(b)
-        if not ok:
-            assert cert is not None
-            witness: Optional[tuple[int, ...]] = None
-            if cert.U and len(cert.isolated) >= len(cert.U):
-                witness = cert.U
-            else:
-                witness = isolated_condition_enum(G)
-            if witness is None:
-                raise RuntimeError("infeasible probe but no isolating subset found")
-            return UniversalVerdict(False, "isolated_condition", witness)
-    return UniversalVerdict(True)
+    net, _ = _double_cover(G, (1,) * n)
+    if net.max_flow(2 * n, 2 * n + 1) < n:
+        reach = net.residual_reachable(2 * n)
+        X = [v for v in range(n) if reach[v]]
+    else:
+        comp = _sink_component(net.residual_graph(2 * n), 0)
+        if len(comp) == 2 * n:
+            return UniversalVerdict(True)
+        X = [v for v in comp if v < n]
+    S = set(X) - _neighborhood(G, X)
+    return UniversalVerdict(False, "isolated_condition", tuple(sorted(_neighborhood(G, S))))
+
+
+def _sink_component(succ: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The first strong component an iterative Tarjan search from root
+    completes.  Components complete in reverse topological order, so no
+    arc leaves this one.  Nothing is popped before it completes, so every
+    visited vertex is still on the stack and a vertex's stack position is
+    its index."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    it = [0] * len(succ)
+    order = [root]
+    index[root] = 0
+    work = [root]
+    while True:
+        v = work[-1]
+        if it[v] < len(succ[v]):
+            u = succ[v][it[v]]
+            it[v] += 1
+            if index[u] == -1:
+                index[u] = low[u] = len(order)
+                order.append(u)
+                work.append(u)
+            elif index[u] < low[v]:
+                low[v] = index[u]
+            continue
+        if low[v] == index[v]:
+            return order[index[v]:]
+        work.pop()
+        parent = work[-1]
+        if low[v] < low[parent]:
+            low[parent] = low[v]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ each infeasible probe's violating set is a constraint that either lifts
 the next probe to its aligned lower bound, certifying every target
 skipped, or rules out every larger target, which ends the class.  A jump
 past n*max w also ends it; that guard only keeps the loop finite, since
-no valid certificate points past it.  The first feasible probe is the
-answer, and its solve supplies the plan.
+no valid certificate points past it.  With two admissible parities the
+two jumps advance together, always the one with the lower probe, so the
+first feasible probe is the answer over both classes, and its solve
+supplies the plan.
 """
 
 from __future__ import annotations
@@ -137,28 +139,41 @@ def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcom
     tw = check_weights(w, G.n)
     if G.n < 1 or parity not in _parities(G.n, tw):
         raise InstanceError(f"parity {parity!r} not admissible for this instance")
-    return _search(BMatchEngine(G), tw, parity)
+    beta, plan, certs = _search(BMatchEngine(G), tw, (parity,))
+    return ParityOutcome(beta, plan, certs.get(parity))
 
 
-def _search(eng: BMatchEngine, w: Weights, parity: str) -> ParityOutcome:
-    # trusted body of min_beta_for_parity: w validated, parity admissible
+def _search(
+    eng: BMatchEngine, w: Weights, parities: Sequence[str]
+) -> tuple[Optional[int], Optional[IncrementPlan], dict[str, ViolatingSet]]:
+    """Trusted body of min_beta_for_parity and equate: w validated, the
+    parities admissible.  The jumps of all parities advance together, the
+    lowest open probe first, so the first feasible probe is the smallest
+    feasible target of them all: (beta, plan, {}).  When every parity
+    ends infeasible: (None, None, its last certificate per parity)."""
     guard = eng.n * max(w)
-    beta = _align_up(max(w), parity)
-    while True:
+    probe = {p: _align_up(max(w), p) for p in parities}
+    certs: dict[str, ViolatingSet] = {}
+    while probe:
+        parity = min(probe, key=probe.__getitem__)
+        beta = probe[parity]
         b = tuple(beta - x for x in w)
         ok, cert = eng.decide(b)
         if ok:
             plan = eng.construct(b)
             if not _plan_is_perfect(eng.G, b, plan):
                 raise RuntimeError("constructed plan failed verification")
-            return ParityOutcome(beta, plan, None)
+            return beta, plan, {}
         case = _classify(cert, w, parity)
-        if case.kind != "at_least" or case.beta > guard:
-            return ParityOutcome(None, None, cert)
-        # a violation at beta means s*beta < c for its constraint s*beta >= c
-        if case.beta <= beta:
-            raise RuntimeError(f"certificate {cert.U} does not cut past {beta}")
-        beta = case.beta
+        if case.kind == "at_least" and case.beta <= guard:
+            # a violation at beta means s*beta < c for its constraint s*beta >= c
+            if case.beta <= beta:
+                raise RuntimeError(f"certificate {cert.U} does not cut past {beta}")
+            probe[parity] = case.beta
+        else:
+            certs[parity] = cert
+            del probe[parity]
+    return None, None, {p: certs[p] for p in parities}
 
 
 @dataclass(frozen=True)
@@ -214,19 +229,9 @@ def equate(G: Graph, w: Sequence[int]) -> EquateResult:
     parities = _parities(G.n, tw)
     if not parities:
         return EquateResult(reason="parity")
-    eng = BMatchEngine(G)
-    outcomes = {p: _search(eng, tw, p) for p in parities}
-    found = [(r.beta, p) for p, r in outcomes.items() if r.beta is not None]
-    if not found:
-        certs = {
-            p: r.certificate
-            for p, r in outcomes.items()
-            if r.certificate is not None
-        }
+    beta, plan, certs = _search(BMatchEngine(G), tw, parities)
+    if plan is None:
         return EquateResult(reason="certificate", certificates=certs)
-    beta, parity = min(found)
-    plan = outcomes[parity].plan
-    assert plan is not None
     if 2 * plan.total_steps != G.n * beta - sum(tw):
         raise RuntimeError("plan size does not match the target identity")
     return EquateResult(beta=beta, plan=plan)

@@ -292,3 +292,9 @@ class Dinic:
                     seen[u] = True
                     q.append(u)
         return seen
+
+    def residual_graph(self, k: int) -> list[list[int]]:
+        """Successor lists of nodes 0..k-1 along positive residual edges,
+        leaving out the edges to nodes k and above."""
+        to, cap = self.to, self.cap
+        return [[to[e] for e in self.head[v] if cap[e] > 0 and to[e] < k] for v in range(k)]

@@ -11,8 +11,10 @@ from nodebalance import (
     Graph,
     Hypergraph,
     equate_backtracking,
+    is_connected,
     is_uniform,
 )
+from nodebalance.bmatch import BMatchEngine
 from nodebalance.equate import admissible_parities
 
 # filled by the acceptance tests, printed by the conftest summary hook
@@ -49,6 +51,38 @@ def rand_connected(rng: random.Random, n: int, p: float = 0.0) -> Graph:
         if rng.random() < p:
             edges.add(e)
     return Graph(n, sorted(edges))
+
+
+def cycle_with_chords(rng: random.Random, n: int, chords: int) -> Graph:
+    """A Hamiltonian cycle through the vertices in random order plus
+    `chords` distinct random chords."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[i], perm[(i + 1) % n]))) for i in range(n)}
+    while len(edges) < n + chords:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def universal_by_probes(G: Graph) -> tuple[bool, str | None]:
+    """(verdict, reason) of the every-assignment check by n engine probes:
+    G is connected, n is odd, and for every v the demand 2n at v and
+    2n + 1 elsewhere has a perfect b-matching (demands this extreme can
+    only fail at a U isolating |U| or more vertices).  Reference for
+    universal_equatable."""
+    n = G.n
+    if n <= 1:
+        return True, None
+    if not is_connected(G):
+        return False, "disconnected"
+    if n % 2 == 0:
+        return False, "even_order"
+    eng = BMatchEngine(G)
+    for v in range(n):
+        if not eng.decide(tuple(2 * n if u == v else 2 * n + 1 for u in range(n)))[0]:
+            return False, "isolated_condition"
+    return True, None
 
 
 def rand_hypergraph(rng: random.Random, n: int, m: int, kmax: int = 4) -> Hypergraph:

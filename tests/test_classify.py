@@ -1,6 +1,7 @@
 """Structural classifiers: universal equatability, bipartite analysis."""
 
 import random
+import time
 
 import pytest
 
@@ -20,15 +21,19 @@ from nodebalance import (
     strict_hall_enum,
     universal_equatable,
 )
+from nodebalance.classify import _sink_component
 from support import (
     C6_PUZZLE_W,
     backtrack_min_beta,
     complete_graph,
     cycle_graph,
+    cycle_with_chords,
     path_graph,
     rand_bipartite,
+    rand_connected,
     rand_graph,
     star_graph,
+    universal_by_probes,
 )
 
 K3 = complete_graph(3)
@@ -51,7 +56,7 @@ class TestConnected:
 
 class TestUniversal:
     def test_k3_true(self):
-        # [DERIVED: all probes feasible, no violating subset]
+        # [DERIVED: the double cover is C6, elementary]
         v = universal_equatable(K3)
         assert v.verdict and v.reason is None
 
@@ -75,7 +80,7 @@ class TestUniversal:
         assert universal_equatable(Graph(1, [])).verdict
 
     def test_odd_cycle_true_beyond_enumeration_probe(self):
-        # C11 forces the probe path that cannot enumerate subsets
+        # an odd cycle's double cover is one even cycle, hence elementary
         assert universal_equatable(cycle_graph(11)).verdict
 
     def test_big_star_witness(self):
@@ -89,6 +94,75 @@ class TestUniversal:
             "reason": "isolated_condition",
             "witness": [1],
         }
+
+    def test_large_graphs_one_flow(self):
+        # n engine probes took minutes on these; one flow takes milliseconds
+        for G in (cycle_graph(2001), cycle_with_chords(random.Random(801), 801, 1200)):
+            start = time.perf_counter()
+            v = universal_equatable(G)
+            assert time.perf_counter() - start < 1.0
+            assert v.verdict and v.reason is None
+
+    def test_long_odd_path_witness(self):
+        # a 4000-arc augmenting search and reachability scan, iteratively
+        G = path_graph(4001)
+        v = universal_equatable(G)
+        assert not v.verdict and v.reason == "isolated_condition"
+        assert len(isolated_vertices(G, v.witness)) >= len(v.witness) >= 1
+
+    def test_agrees_with_enumeration(self):
+        rng = random.Random(41)
+        failing = 0
+        for _ in range(400):
+            n = rng.choice((3, 5, 7, 9, 11, 13))
+            G = rand_connected(rng, n, rng.choice((0.0, 0.15, 0.3, 0.5)))
+            v = universal_equatable(G)
+            assert v.verdict == (isolated_condition_enum(G) is None)
+            if not v.verdict:
+                failing += 1
+                assert v.reason == "isolated_condition"
+                assert len(isolated_vertices(G, v.witness)) >= len(v.witness) >= 1
+        assert 50 <= failing <= 350
+
+    def test_agrees_with_probe_route(self):
+        # above the enumeration's reach: odd cycles with chords (universal),
+        # the same with two leaves on one vertex (not), random sparse graphs
+        rng = random.Random(43)
+        seen = set()
+        for n in (25, 51, 101, 201):
+            for family in range(3):
+                if family == 0:
+                    G = cycle_with_chords(rng, n, n // 2)
+                elif family == 1:
+                    H = cycle_with_chords(rng, n - 2, n // 2)
+                    hub = rng.randrange(n - 2)
+                    G = Graph(n, list(H.edges) + [(hub, n - 2), (hub, n - 1)])
+                else:
+                    G = rand_connected(rng, n, 2.5 / n)
+                v = universal_equatable(G)
+                assert (v.verdict, v.reason) == universal_by_probes(G)
+                seen.add(v.verdict)
+                if not v.verdict:
+                    assert len(isolated_vertices(G, v.witness)) >= len(v.witness) >= 1
+        assert seen == {True, False}
+
+
+class TestSinkComponent:
+    def test_against_networkx(self):
+        import networkx as nx
+
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            p = rng.choice((0.1, 0.25, 0.5))
+            succ = [[u for u in range(n) if u != v and rng.random() < p] for v in range(n)]
+            comp = _sink_component(succ, 0)
+            g = nx.DiGraph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from((v, u) for v in range(n) for u in succ[v])
+            assert set(comp) in [set(c) for c in nx.strongly_connected_components(g)]
+            assert all(u in comp for v in comp for u in succ[v])
+            assert 0 in comp or nx.has_path(g, 0, comp[0])
 
 
 class TestIsolatedConditionEnum:

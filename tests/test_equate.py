@@ -21,6 +21,7 @@ from nodebalance import (
 )
 from nodebalance.bmatch import _SUBSET_SIDE, BMatchEngine, _tutte_terms
 from nodebalance.equate import (
+    PARITIES,
     BoundCase,
     admissible_parities,
     constraint_bound,
@@ -385,6 +386,54 @@ class TestConstructOnce:
         res = equate(G, w)
         assert res.feasible and apply_plan(G, w, res.plan) == (res.beta,) * G.n
         assert flows[0] == decides[0] >= 1
+
+
+class TestParityInterleave:
+    def test_no_probe_above_the_answer(self, monkeypatch):
+        # with both parities admissible, the lower open probe goes first, so
+        # the first feasible probe is the answer and nothing is probed past
+        # it; the result is the one of two separate per-parity searches
+        probes = []
+        decide = BMatchEngine.decide
+
+        def recording(self, b):
+            probes.append(b)
+            return decide(self, b)
+
+        monkeypatch.setattr(BMatchEngine, "decide", recording)
+        constructs = count_calls(monkeypatch, BMatchEngine, "construct")
+        rng = random.Random(37)
+        feasible = infeasible = 0
+        for i in range(80):
+            n = rng.choice((10, 20, 40, 60))
+            if i % 2:
+                G = sparse_connected(rng, n)
+            else:
+                G, _ = rand_bipartite(rng, n // 2, n // 2, 0.2)
+            if i % 4 < 2:
+                w = planned_weights(rng, G, rng.choice((3, 10**6)))[0]
+            else:
+                w = tuple(rng.randint(0, 10) for _ in range(n))
+            if len(admissible_parities(G, w)) != 2 or is_uniform(w) is not None:
+                continue
+            probes.clear()
+            constructs[0] = 0
+            res = equate(G, w)
+            targets = [b[0] + w[0] for b in probes]
+            made = constructs[0]
+            outs = {p: min_beta_for_parity(G, w, p) for p in PARITIES}
+            found = [(o.beta, p) for p, o in outs.items() if o.beta is not None]
+            if res.feasible:
+                feasible += 1
+                assert max(targets) == res.beta and made == 1
+                beta, parity = min(found)
+                assert (res.beta, res.plan) == (beta, outs[parity].plan)
+            else:
+                infeasible += 1
+                assert not found and made == 0
+                assert res.certificates == {p: o.certificate for p, o in outs.items()}
+                assert list(res.certificates) == list(PARITIES)
+        assert feasible >= 30 and infeasible >= 8
 
 
 class TestMetamorphic:
