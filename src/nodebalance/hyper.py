@@ -3,16 +3,22 @@
 A step on a hyperedge increments every member vertex.  Deciding whether a
 hypergraph assignment can be equalized is NP-complete (perfect matching
 in hypergraphs reduces to it), so the solver here is a bounded exhaustive
-search: it scans candidate targets beta up to a cap and backtracks over
-edge multiplicities.  Results are "infeasible within cap" rather than
-unconditional, except in two cases with a genuine proof: a vertex in no
-edge freezes its weight forever, and a divisibility obstruction can rule
-out every integer target at once.
+search: it backtracks over edge multiplicities at candidate targets beta
+up to a cap.  A plan at target beta is a non-negative integer solution x
+of A x = beta*1 - w, with A the vertex-edge incidence matrix, so before
+searching, fraction-free integer elimination of that system finds the
+targets at which it has any rational solution at all: every beta, one
+integer beta, or none.  Only those targets are searched.  Results are
+"infeasible within cap" rather than unconditional, even when elimination
+leaves no target, except in two cases with a genuine proof: a vertex in
+no edge freezes its weight forever, and a divisibility obstruction can
+rule out every integer target at once.
 
 reduce_pm_to_equate realizes the hardness direction: three fresh
 vertices p, q, r with weight 1, chained by edges {p,q} and {q,r}, force
 any equalized target to be exactly 1, which turns the original edges
-into an exact-cover problem.
+into an exact-cover problem.  Elimination sees this too: the gadget rows
+pin beta = 1, so a reduced instance costs one search.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ class HyperEquateResult:
 def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
     """Exhaustive multiplicity search at one target.  Edges are processed
     largest first; a vertex's residual demand must hit zero by the time
-    its last edge is assigned."""
+    its last edge is assigned, so that edge's multiplicity is forced."""
     order = sorted(range(H.m), key=lambda i: (-len(H.edges[i]), H.edges[i], i))
     residual = [beta - x for x in w]
     if any(r < 0 for r in residual):
@@ -88,6 +94,8 @@ def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
             last_pos[v] = pos
     if any(residual[v] > 0 and last_pos[v] == -1 for v in range(H.n)):
         return None
+    # closing[pos]: the members whose last edge is the one at pos
+    closing = [[v for v in H.edges[i] if last_pos[v] == pos] for pos, i in enumerate(order)]
     counts = [0] * H.m
 
     def rec(pos: int) -> bool:
@@ -96,14 +104,19 @@ def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
         i = order[pos]
         members = H.edges[i]
         cap = min(residual[v] for v in members)
-        for x in range(cap + 1):
+        closed = closing[pos]
+        if closed:
+            x = residual[closed[0]]
+            xs = (x,) if x == cap and all(residual[v] == x for v in closed) else ()
+        else:
+            xs = range(cap + 1)
+        for x in xs:
             for v in members:
                 residual[v] -= x
-            if all(residual[v] == 0 for v in members if last_pos[v] == pos):
-                counts[i] = x
-                if rec(pos + 1):
-                    return True
-                counts[i] = 0
+            counts[i] = x
+            if rec(pos + 1):
+                return True
+            counts[i] = 0
             for v in members:
                 residual[v] += x
         return False
@@ -111,6 +124,42 @@ def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
     if not rec(0):
         return None
     return IncrementPlan(tuple((i, c) for i, c in enumerate(counts) if c))
+
+
+def _rational_targets(H: Hypergraph, w: Weights) -> Optional[tuple[int, ...]]:
+    """Integer targets beta at which A x = beta*1 - w has a rational
+    solution x: None for every beta, else a tuple of at most one target.
+
+    Row v is the integer vector (A[v] | -1 | w[v]) over the columns
+    x_1..x_m, beta, 1.  Fraction-free elimination (cross-multiply, then
+    divide the row by its gcd) clears the edge columns, so every row left
+    without a pivot reads c*beta + d = 0."""
+    rows = [[0] * H.m + [-1, x] for x in w]
+    for i, e in enumerate(H.edges):
+        for v in e:
+            rows[v][i] = 1
+    for col in range(H.m):
+        k = next((k for k, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        a = piv[col]
+        for j, r in enumerate(rows):
+            b = r[col]
+            if b:
+                r = [a * x - b * y for x, y in zip(r, piv)]
+                g = gcd(*r)
+                rows[j] = [x // g for x in r] if g > 1 else r
+    beta = None
+    for *_, c, d in rows:
+        if c == 0:
+            if d:
+                return ()
+        elif d % c or (beta is not None and beta != -d // c):
+            return ()
+        else:
+            beta = -d // c
+    return None if beta is None else (beta,)
 
 
 def hyper_equate(
@@ -122,8 +171,10 @@ def hyper_equate(
     pin the target to their common weight or prove infeasibility.  Each
     candidate target must satisfy the divisibility constraint: the total
     added weight n*beta - sum(w) has to be a sum of edge sizes, so it
-    must be a multiple of their gcd.  Raises BudgetError above MAX_EDGES
-    hyperedges.
+    must be a multiple of their gcd g.  These targets form one residue
+    class modulo g / gcd(n, g); the search visits only those at which the
+    incidence system has a rational solution (see _rational_targets).
+    Raises BudgetError above MAX_EDGES hyperedges.
     """
     tw = check_weights(w, H.n)
     if H.m > MAX_EDGES:
@@ -136,6 +187,7 @@ def hyper_equate(
     if uni is not None:
         return HyperEquateResult(cap, beta=uni, plan=IncrementPlan.empty())
     frozen = [v for v in range(H.n) if not H.incident(v)]
+    hi = cap
     if frozen:
         f0 = frozen[0]
         for v in frozen[1:]:
@@ -143,25 +195,25 @@ def hyper_equate(
                 return HyperEquateResult(cap, reason="frozen_vertex", frozen=v)
         if tw[f0] < maxw:
             return HyperEquateResult(cap, reason="frozen_vertex", frozen=f0)
-        candidates = [tw[f0]] if tw[f0] <= cap else []
-    else:
-        candidates = list(range(maxw, cap + 1))
+        hi = maxw  # the frozen weight, now known to be max w
+    # some vertex lies in an edge, else w would be uniform or frozen apart
     total = sum(tw)
-    g = gcd(*(len(e) for e in H.edges)) if H.edges else 0
-    if g:
-        viable = [beta for beta in candidates if (H.n * beta - total) % g == 0]
-    else:
-        # no edges at all: only an already-uniform w is equalizable,
-        # which was handled above
-        viable = []
-    if not viable:
-        # unconditional when either no integer target solves
-        # n*beta = sum(w) (mod g), or a frozen vertex pins the one
-        # possible target and that target fails the arithmetic
-        if candidates and (frozen or total % gcd(H.n, g) != 0):
-            return HyperEquateResult(cap, reason="divisibility")
-        return HyperEquateResult(cap, reason="beta_cap")
-    for beta in viable:
+    g = gcd(*(len(e) for e in H.edges))
+    d = gcd(H.n, g)
+    if total % d:
+        # no integer target solves n*beta = sum(w) (mod g)
+        return HyperEquateResult(cap, reason="divisibility")
+    step = g // d
+    first = maxw + ((total // d) * pow(H.n // d, -1, step) - maxw) % step
+    if first > hi:
+        # a frozen vertex pins the one possible target, which fails the
+        # arithmetic; otherwise the cap cuts the progression off
+        return HyperEquateResult(cap, reason="divisibility" if frozen else "beta_cap")
+    targets = range(first, hi + 1, step)
+    pinned = _rational_targets(H, tw)
+    if pinned is not None:
+        targets = [b for b in pinned if b in targets]
+    for beta in targets:
         plan = _backtrack(H, tw, beta)
         if plan is not None:
             if _apply_plan(H, tw, plan) != (beta,) * H.n:

@@ -5,17 +5,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import gcd
 
 from nodebalance import (
     Bipartition,
     Graph,
     Hypergraph,
+    IncrementPlan,
     equate_backtracking,
     is_connected,
     is_uniform,
 )
 from nodebalance.bmatch import BMatchEngine
 from nodebalance.equate import admissible_parities
+from nodebalance.hyper import HyperEquateResult, _backtrack, default_beta_cap
 
 # filled by the acceptance tests, printed by the conftest summary hook
 ACCEPTANCE: list[tuple] = []
@@ -91,6 +94,42 @@ def rand_hypergraph(rng: random.Random, n: int, m: int, kmax: int = 4) -> Hyperg
         k = rng.randint(2, min(kmax, n))
         edges.append(tuple(sorted(rng.sample(range(n), k))))
     return Hypergraph(n, edges)
+
+
+def hyper_equate_scan(H: Hypergraph, w, beta_cap: int | None = None) -> HyperEquateResult:
+    """Reference for hyper_equate without elimination: _backtrack at every
+    target in [max w, cap] that passes the frozen-vertex and divisibility
+    tests, smallest first.  Materializes the candidate list, so keep the
+    cap small."""
+    tw = tuple(w)
+    maxw = max(tw, default=0)
+    cap = default_beta_cap(H, tw) if beta_cap is None else beta_cap
+    uni = is_uniform(tw)
+    if uni is not None:
+        return HyperEquateResult(cap, beta=uni, plan=IncrementPlan.empty())
+    frozen = [v for v in range(H.n) if not H.incident(v)]
+    if frozen:
+        f0 = frozen[0]
+        for v in frozen[1:]:
+            if tw[v] != tw[f0]:
+                return HyperEquateResult(cap, reason="frozen_vertex", frozen=v)
+        if tw[f0] < maxw:
+            return HyperEquateResult(cap, reason="frozen_vertex", frozen=f0)
+        candidates = [tw[f0]] if tw[f0] <= cap else []
+    else:
+        candidates = list(range(maxw, cap + 1))
+    total = sum(tw)
+    g = gcd(*(len(e) for e in H.edges)) if H.edges else 0
+    viable = [b for b in candidates if (H.n * b - total) % g == 0] if g else []
+    if not viable:
+        if candidates and (frozen or total % gcd(H.n, g) != 0):
+            return HyperEquateResult(cap, reason="divisibility")
+        return HyperEquateResult(cap, reason="beta_cap")
+    for beta in viable:
+        plan = _backtrack(H, tw, beta)
+        if plan is not None:
+            return HyperEquateResult(cap, beta=beta, plan=plan)
+    return HyperEquateResult(cap, reason="beta_cap")
 
 
 def atlas_connected(max_n: int = 7) -> list[Graph]:

@@ -1,5 +1,6 @@
 """Hypergraph equating, the perfect-matching reduction, and its oracle."""
 
+import json
 import random
 
 import pytest
@@ -18,7 +19,15 @@ from nodebalance import (
     is_uniform,
     reduce_pm_to_equate,
 )
-from support import C6_PUZZLE_W, cycle_graph, rand_graph, rand_hypergraph
+from nodebalance import hyper
+from nodebalance.cli import main
+from support import (
+    C6_PUZZLE_W,
+    cycle_graph,
+    hyper_equate_scan,
+    rand_graph,
+    rand_hypergraph,
+)
 
 H0 = Hypergraph(3, [(0, 1, 2)])
 H1 = Hypergraph(4, [(0, 1, 2)])  # vertex 3 in no edge
@@ -122,6 +131,117 @@ class TestHyperEquate:
                 got = apply_plan(as_hyper(G), w, rh.plan)
                 assert is_uniform(got) == rh.beta
         assert feas >= 20
+
+
+def seeded_instances(seed: int, count: int):
+    """Random hypergraphs with weights 0-3, every third one replaced by
+    its perfect-matching reduction; caps from max w to max w + 8, since
+    the scan at the default cap takes seconds on infeasible ones."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(2, 7)
+        H = rand_hypergraph(rng, n, rng.randint(1, 6), kmax=rng.choice((2, 3, 4)))
+        w = tuple(rng.randint(0, 3) for _ in range(n))
+        if t % 3 == 0:
+            out = reduce_pm_to_equate(H)
+            H, w = out.hypergraph, out.weights
+        yield H, w, max(w) + rng.randint(0, 8)
+
+
+# the reduction of the benchmark's cli-mixed hypergraph: no perfect
+# matching, so the reduced instance is infeasible at every target
+CLI_MIXED_REDUCED = Hypergraph(
+    11,
+    [(0, 2, 7), (3, 5), (2, 4), (0, 2, 3, 7), (5, 6), (3, 4, 5, 6), (1, 2, 5), (8, 9), (9, 10)],
+)
+CLI_MIXED_W = (0,) * 8 + (1, 1, 1)
+
+
+def count_backtracks(monkeypatch) -> list:
+    calls = []
+    real = hyper._backtrack
+
+    def wrapped(H, w, beta):
+        calls.append(beta)
+        return real(H, w, beta)
+
+    monkeypatch.setattr(hyper, "_backtrack", wrapped)
+    return calls
+
+
+class TestElimination:
+    def test_every_target(self):
+        # [DERIVED: the triangle's incidence matrix is invertible]
+        assert hyper._rational_targets(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), (0, 1, 2)) is None
+
+    def test_pinned_target(self):
+        # [DERIVED: star center gets x1 + x2 = beta, leaves x_i = beta - 1]
+        H = Hypergraph(3, [(0, 1), (0, 2)])
+        assert hyper._rational_targets(H, (0, 1, 1)) == (2,)
+
+    def test_no_target(self):
+        # [DERIVED: one edge over both vertices keeps their gap of 4]
+        assert hyper._rational_targets(Hypergraph(2, [(0, 1)]), (0, 4)) == ()
+
+    def test_fractional_target_is_none(self):
+        # [DERIVED: the three leaves force 2*beta = 1]
+        H = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+        assert hyper._rational_targets(H, (0, 1, 0, 0)) == ()
+
+    def test_agrees_with_scan(self):
+        # [DERIVED: skipped targets have no rational, hence no integer, plan]
+        feasible = 0
+        for H, w, cap in seeded_instances(20, 320):
+            got = hyper_equate(H, w, cap).to_jsonable(H)
+            assert got == hyper_equate_scan(H, w, cap).to_jsonable(H)
+            feasible += got["equatable"]
+        assert feasible >= 40
+
+    def test_every_plan_target_is_admitted(self):
+        for H, w, cap in seeded_instances(21, 150):
+            targets = hyper._rational_targets(H, w)
+            for beta in range(max(w), cap + 1):
+                if hyper._backtrack(H, w, beta) is not None:
+                    assert targets is None or beta in targets
+
+    def test_reduction_pins_one(self):
+        # [KNOWN: the gadget forces beta = 1]
+        rng = random.Random(22)
+        for _ in range(100):
+            n = rng.randint(0, 8)
+            H = rand_hypergraph(rng, n, rng.randint(1, 6)) if n >= 2 else Hypergraph(n, [])
+            out = reduce_pm_to_equate(H)
+            targets = hyper._rational_targets(out.hypergraph, out.weights)
+            assert targets is not None and set(targets) <= {1}
+
+
+class TestEliminationRegressions:
+    def test_cli_mixed_reduced_one_search(self, monkeypatch):
+        calls = count_backtracks(monkeypatch)
+        r = hyper_equate(CLI_MIXED_REDUCED, CLI_MIXED_W)
+        assert calls == [1]
+        assert r.reason == "beta_cap" and r.cap == 44
+
+    def test_huge_cap_on_reduced_instance(self, monkeypatch):
+        calls = count_backtracks(monkeypatch)
+        r = hyper_equate(CLI_MIXED_REDUCED, CLI_MIXED_W, beta_cap=10**12)
+        assert calls == [1]
+        assert r.reason == "beta_cap" and r.cap == 10**12
+
+    def test_huge_weight_needs_no_candidate_list(self):
+        # [DERIVED: 3*beta - 10**16 is never a multiple of 3]
+        r = hyper_equate(H0, (0, 0, 10**16))
+        assert r.reason == "divisibility" and r.cap == 9 * 10**16
+
+    def test_huge_weight_through_cli(self, tmp_path, capfd):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"graph 3\nh 0 1 2\nw 2 {10**16}\n")
+        rc = main(["hyper-equate", str(path)])
+        out, _ = capfd.readouterr()
+        assert rc == 0
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:].strip() == ""
+        assert doc["certificate"] == {"type": "divisibility"}
 
 
 class TestReduction:
