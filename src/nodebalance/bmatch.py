@@ -20,8 +20,9 @@ Two exact integer engines share that certificate contract:
   integer max flow otherwise;
 - graphs with an odd cycle: max flow on the bipartite double cover for
   the fractional condition, rounding around Euler circuits, and a parity
-  repair by blossom matching on a small residual expansion (Anstee 1987),
-  whose Gallai-Edmonds decomposition gives the certificate.
+  repair by blossom matching in a window of 2 around the rounding
+  (Anstee 1987), whose expansion has at most 4m + n copies whatever b
+  is, and whose Gallai-Edmonds decomposition gives the certificate.
 
 Every witness, no matter which engine produced it, is re-verified against
 the subset definition before being returned.
@@ -556,46 +557,52 @@ class BMatchEngine:
             return BMatchOutcome(witness=self._cut(b, U))
         twice = [net.edge_flow(e1) + net.edge_flow(e2) for e1, e2 in arcs]
         y = [x // 2 for x in twice]
-        k = _round_circuits(G, twice, y)
-        if k == 0:
+        if _round_circuits(G, twice, y) == 0:
             return BMatchOutcome(plan=IncrementPlan(tuple(zip(G.edges, y))))
-        return self._repair(b, y, k)
+        return self._repair(b, y)
 
-    def _repair(self, b: Sequence[int], y: Sequence[int], k: int) -> BMatchOutcome:
-        """Parity repair of a rounding y that leaves k units exposed.
+    def _repair(self, b: Sequence[int], y: Sequence[int]) -> BMatchOutcome:
+        """Parity repair of a rounding y that leaves k demand units exposed.
 
-        If a perfect b-matching exists, one lies within k of y on every
-        edge (the closed alternating walks of their difference drop out,
-        leaving k/2 walks between exposed units that pass each vertex at
-        most twice), so it keeps L = max(0, y - k).  A maximum matching on
-        the expansion of b - L(delta), seeded with y - L, either is perfect
-        (the plan is L plus the matching) or gives the Gallai-Edmonds set
-        U = N(D)\\D, for the vertices D with a copy missed by some maximum
-        matching, which _cut re-verifies against b.  The expansion budgets
-        of expand_graph apply."""
+        Each round keeps L = max(0, y - 2) and grows the matching y - L on
+        the expansion of b - L(delta), at most 4m + k copies whatever b
+        is.  A shortest alternating path of the full expansion passes the
+        copies of a vertex at most once in each direction (a second visit
+        shortcuts through a twin), so it lowers no edge by more than 2 and
+        lies in the window.  A perfect matching gives the plan L plus the
+        matching; a larger one re-centres y, so there are at most k/2 + 1
+        rounds.  A round that adds no pair leaves y maximum, and by the
+        same shortcut its D, the vertices with a copy missed by some
+        maximum matching, is that of the full expansion: U = N(D)\\D is
+        the Gallai-Edmonds cut, which _cut still re-verifies against b."""
         G = self.G
-        low = [max(0, x - k) for x in y]
-        rest = list(b)
-        for (u, v), x in zip(G.edges, low):
-            rest[u] -= x
-            rest[v] -= x
-        adj, copy_of = _expand(G, rest)
-        free = [0] * self.n  # next unmatched copy of each vertex
-        for v in range(1, self.n):
-            free[v] = free[v - 1] + rest[v - 1]
-        match = [-1] * len(adj)
-        for (u, v), x, lo in zip(G.edges, y, low):
-            for _ in range(x - lo):
-                i, j = free[u], free[v]
-                match[i], match[j] = j, i
-                free[u] += 1
-                free[v] += 1
-        match = matching.maximum_matching(adj, match)
-        if all(j != -1 for j in match):
-            return BMatchOutcome(plan=_expansion_plan(copy_of, match, dict(zip(G.edges, low))))
-        D = {copy_of[i] for i in matching.even_reachable(adj, match)}
-        U = sorted({u for v in D for u in G.neighbors(v)} - D)
-        return BMatchOutcome(witness=self._cut(b, U))
+        while True:
+            low = [max(0, x - 2) for x in y]
+            rest = list(b)
+            for (u, v), x in zip(G.edges, low):
+                rest[u] -= x
+                rest[v] -= x
+            adj, copy_of = _expand(G, rest)
+            free = [0] * self.n  # next unmatched copy of each vertex
+            for v in range(1, self.n):
+                free[v] = free[v - 1] + rest[v - 1]
+            match = [-1] * len(adj)
+            for (u, v), x, lo in zip(G.edges, y, low):
+                for _ in range(x - lo):
+                    i, j = free[u], free[v]
+                    match[i], match[j] = j, i
+                    free[u] += 1
+                    free[v] += 1
+            match = matching.maximum_matching(adj, match)
+            counts = dict(zip(G.edges, low))
+            plan = _expansion_plan(copy_of, match, counts)
+            if -1 not in match:
+                return BMatchOutcome(plan=plan)
+            if plan.total_steps == sum(y):
+                D = {copy_of[i] for i in matching.even_reachable(adj, match)}
+                U = sorted({u for v in D for u in G.neighbors(v)} - D)
+                return BMatchOutcome(witness=self._cut(b, U))
+            y = [counts[e] for e in G.edges]
 
     # ---- construction ---------------------------------------------
 
@@ -633,7 +640,8 @@ def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
 
 def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     """Full interface: a verified plan when feasible, else a verified
-    violating set.  On a graph with an odd cycle the parity repair may
-    raise BudgetError under the expansion budgets of expand_graph."""
+    violating set.  On a graph with an odd cycle the parity repair
+    expands at most 4m + n copies whatever b is, so the budgets of
+    expand_graph can raise BudgetError there only on large graphs."""
     tb = check_bvector(b, G.n)
     return BMatchEngine(G).outcome(tb)

@@ -301,13 +301,11 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
             ml, mr = matching.bipartite_matching(adj, k - 1)
             if all(j != -1 for j in ml):
                 continue
+            # the deficient set X is nonempty and inside L minus u, so
+            # |X| < k, and |N(X)| < |X| in G - u - v; deleting v hid at
+            # most one neighbor, so |N(X)| <= |X| in G
             deficient = matching.left_deficient_set(adj, ml, mr)
-            X = tuple(lefts[i] for i in deficient)
-            # deleting v can hide at most one neighbor, so X still has
-            # |N(X)| <= |X| in the full graph
-            if X and len(X) < k and len(_neighborhood(G, X)) <= len(X):
-                return HallVerdict(False, X)
-            return strict_hall_enum(G, part)
+            return HallVerdict(False, tuple(lefts[i] for i in deficient))
     return HallVerdict(True)
 
 

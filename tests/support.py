@@ -257,3 +257,48 @@ def near_2p53_instance() -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
         v = rng.randrange(n)
         w[v] += 1 if w[v] < 10 else -1
     return Graph(n, sorted(edges)), tuple(w), tuple(NEAR_OFFSET + x for x in w)
+
+
+CHAIN_TOP = 2 * 10**6 + 1
+
+
+def triangle_chain(
+    t: int, pendant: bool = False, top: int = CHAIN_TOP
+) -> tuple[Graph, tuple[int, ...]]:
+    """(G, values) for a chain of t triangles on 3j, 3j+1, 3j+2 with each
+    vertex 3j joined to 3(j+1).  Without the pendant the values are the
+    demand `top` (odd) at every vertex: feasible for even t, with 1 and 0
+    alternating on the links, and the flow rounds it to t odd circuits.
+    With it, vertex 3t hangs off vertex 1 and the values are weights:
+    `top` on the pendant and 0 elsewhere, so equate's answer is `top`."""
+    edges = []
+    for j in range(t):
+        a = 3 * j
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+        if j + 1 < t:
+            edges.append((a, a + 3))
+    n = 3 * t
+    if pendant:
+        return Graph(n + 1, edges + [(1, n)]), (0,) * n + (top,)
+    return Graph(n, edges), (top,) * n
+
+
+def hub_triangles(rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
+    """(G, b): t = 3-4 triangles on 3j, 3j+1, 3j+2 and 1-2 hubs after them,
+    each hub joined to 1-2 vertices of every triangle.  Hub demands are
+    0..2t; triangle demands are 2c+1, or 2c+1 +- 1, for one c in 5..30.
+    The odd triangles make the flow round to several odd circuits, so
+    some of these instances start the parity repair at k >= 4."""
+    t = rng.randint(3, 4)
+    hubs = range(3 * t, 3 * t + rng.randint(1, 2))
+    edges = []
+    for j in range(t):
+        a = 3 * j
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    for x in hubs:
+        for j in range(t):
+            edges += [(v, x) for v in rng.sample(range(3 * j, 3 * j + 3), rng.randint(1, 2))]
+    c = rng.randint(5, 30)
+    b = [2 * c + 1 + rng.choice((0, 0, -1, 1)) for _ in range(3 * t)]
+    b += [rng.randint(0, 2 * t) for _ in hubs]
+    return Graph(3 * t + len(hubs), edges), tuple(b)

@@ -26,15 +26,19 @@ from nodebalance import (
     verify_plan_perfect,
     violating_set,
 )
+from nodebalance import bmatch
 from nodebalance.bmatch import BMatchEngine, _round_circuits
 from support import (
+    CHAIN_TOP,
     NEAR_OFFSET,
     complete_graph,
     cycle_graph,
+    hub_triangles,
     near_2p53_instance,
     path_graph,
     rand_connected,
     rand_graph,
+    triangle_chain,
 )
 
 P3 = path_graph(3)
@@ -386,6 +390,89 @@ class TestGeneralEngine:
             for beta in (max(w), max(w) + 1, G.n * max(w)):
                 b = tuple(beta - x for x in w)
                 assert tutte_deficiency(G, cert.U, b) == cert.deficiency >= 1
+
+
+@pytest.fixture
+def repair_log(monkeypatch):
+    """Per parity repair: its starting k and the copies of each round's
+    expansion, recorded by wrapping _repair and _expand."""
+    log = []
+    repair, expand = BMatchEngine._repair, bmatch._expand
+
+    def logged_repair(self, b, y):
+        log.append((sum(b) - 2 * sum(y), []))
+        return repair(self, b, y)
+
+    def logged_expand(G, b):
+        log[-1][1].append(sum(b))
+        return expand(G, b)
+
+    monkeypatch.setattr(BMatchEngine, "_repair", logged_repair)
+    monkeypatch.setattr(bmatch, "_expand", logged_expand)
+    return log
+
+
+class TestRepairWindow:
+    @pytest.mark.parametrize("t", [80, 200, 400])
+    def test_triangle_chain(self, t):
+        # k = t odd circuits at b = 2*10^6+1: the repair's expansion must
+        # not grow with either
+        G, b = triangle_chain(t)
+        assert decide_perfect_bmatching(G, b)
+        out = perfect_bmatching(G, b)
+        assert apply_plan(G, (0,) * G.n, out.plan) == b
+
+    def test_triangle_chain_fast(self):
+        import time
+
+        G, b = triangle_chain(40)
+        t = time.perf_counter()
+        assert perfect_bmatching(G, b).feasible
+        assert time.perf_counter() - t < 0.1
+
+    def test_pendant_chain_equate(self):
+        G, w = triangle_chain(80, pendant=True)
+        res = equate(G, w)
+        assert res.beta == CHAIN_TOP
+        assert is_uniform(apply_plan(G, w, res.plan)) == CHAIN_TOP
+
+    def test_window_size_ignores_b(self, repair_log):
+        # the same rounds and copies at b = 2*10^6+1 and 2*10^15+1,
+        # at most 4m + k copies and k/2 + 1 rounds
+        logs = []
+        for top in (CHAIN_TOP, 2 * 10**15 + 1):
+            G, b = triangle_chain(80, top=top)
+            repair_log.clear()
+            assert perfect_bmatching(G, b).feasible
+            logs.append(list(repair_log))
+        assert logs[0] == logs[1]
+        for k, copies in logs[0]:
+            assert k == 80
+            assert 1 <= len(copies) <= k // 2 + 1
+            assert max(copies) <= 4 * G.m + k
+
+    def test_hub_triangles_vs_enumeration(self, repair_log):
+        # only repairs that start at k >= 4 are enumerated; a wrong cut
+        # would raise RuntimeError in _cut
+        rng = random.Random(0)
+        infeasible = multi_round = 0
+        for _ in range(3000):
+            G, b = hub_triangles(rng)
+            repair_log.clear()
+            out = perfect_bmatching(G, b)
+            if not repair_log or repair_log[-1][0] < 4:
+                continue
+            k, copies = repair_log[-1]
+            assert len(copies) <= k // 2 + 1
+            multi_round += len(copies) >= 2
+            assert out.feasible == (check_tutte_enumeration(G, b) is None)
+            if out.feasible:
+                assert verify_plan_perfect(G, b, out.plan)
+            else:
+                infeasible += 1
+                assert tutte_deficiency(G, out.witness.U, b) == out.witness.deficiency >= 1
+        assert infeasible >= 20
+        assert multi_round >= 10
 
 
 @st.composite

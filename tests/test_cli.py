@@ -10,7 +10,7 @@ import pytest
 
 from nodebalance import Graph, equate, parse_instance, serialize_instance
 from nodebalance.cli import main
-from support import NEAR_OFFSET, near_2p53_instance
+from support import CHAIN_TOP, NEAR_OFFSET, near_2p53_instance, triangle_chain
 
 K3_100 = "instances/k3_100.txt"
 PUZZLE = "instances/puzzle_c6.txt"
@@ -208,6 +208,19 @@ class TestNonBipartite:
         doc = json.loads(out)
         assert out == json.dumps(doc, indent=2) + "\n"
         assert doc["beta"] == equate(G, w).beta + NEAR_OFFSET
+
+    def test_equate_pendant_chain(self, capfd, tmp_path):
+        # 80 odd circuits at weight 2*10^6+1: the repair's expansion
+        # must not grow with either
+        G, w = triangle_chain(80, pendant=True)
+        path = tmp_path / "chain.txt"
+        path.write_text(serialize_instance(G, w))
+        rc = main(["equate", str(path)])
+        out = capfd.readouterr().out
+        assert rc == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["beta"] == CHAIN_TOP
 
     def test_equate_imports_no_scipy(self, tmp_path):
         # the Petersen graph: odd cycles and ten vertices
