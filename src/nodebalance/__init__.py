@@ -55,6 +55,7 @@ from .equate import (
 from .errors import (
     BudgetError,
     InstanceError,
+    InternalError,
     ParseError,
 )
 from .hyper import (
@@ -81,6 +82,7 @@ __all__ = [
     "Hypergraph",
     "IncrementPlan",
     "InstanceError",
+    "InternalError",
     "ParseError",
     "ReductionOutput",
     "UniversalVerdict",

@@ -30,13 +30,12 @@ the subset definition before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector
-from .errors import BudgetError, InstanceError
+from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector, _Value
+from .errors import BudgetError, InstanceError, InternalError
 
 # hard budgets for the expansion construction
 MAX_SUM_B = 50_000
@@ -111,15 +110,23 @@ def tutte_deficiency(G: Graph, U: Iterable[int], b: Iterable[int]) -> int:
     return _tutte_terms(G, _check_subset(U, G.n), check_bvector(b, G.n))[2]
 
 
-@dataclass(frozen=True)
-class ViolatingSet:
+class ViolatingSet(_Value):
     """A subset U with positive deficiency; all fields recomputable from
     (G, U, b) via isolated_vertices / s_count / tutte_deficiency."""
 
+    _fields = ("U", "isolated", "s_count", "deficiency")
     U: tuple[int, ...]
     isolated: tuple[int, ...]
     s_count: int
     deficiency: int
+
+    def __init__(
+        self, U: tuple[int, ...], isolated: tuple[int, ...], s_count: int, deficiency: int
+    ) -> None:
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "isolated", isolated)
+        object.__setattr__(self, "s_count", s_count)
+        object.__setattr__(self, "deficiency", deficiency)
 
     def to_jsonable(self) -> dict:
         return {
@@ -151,16 +158,20 @@ def violating_set(G: Graph, U: Iterable[int], b: Iterable[int]) -> ViolatingSet:
     return ViolatingSet(tu, iso, s, d)
 
 
-@dataclass(frozen=True)
-class BMatchOutcome:
+class BMatchOutcome(_Value):
     """Either a constructed plan (feasible) or a verified certificate."""
 
-    plan: Optional[IncrementPlan] = None
-    witness: Optional[ViolatingSet] = None
+    _fields = ("plan", "witness")
+    plan: Optional[IncrementPlan]
+    witness: Optional[ViolatingSet]
 
-    def __post_init__(self) -> None:
-        if (self.plan is None) == (self.witness is None):
+    def __init__(
+        self, plan: Optional[IncrementPlan] = None, witness: Optional[ViolatingSet] = None
+    ) -> None:
+        if (plan is None) == (witness is None):
             raise InstanceError("exactly one of plan/witness must be set")
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def feasible(self) -> bool:
@@ -492,7 +503,7 @@ class BMatchEngine:
         # every cut the engine takes is re-verified here; U is sorted
         vs = _certificate(self.G, tuple(U), b)
         if vs is None:
-            raise RuntimeError(f"cut {list(U)} is not a violating set")
+            raise InternalError(f"cut {list(U)} is not a violating set")
         return vs
 
     def _build_flow(self, b: Sequence[int]):
@@ -618,7 +629,7 @@ class BMatchEngine:
             else:
                 ok, _ = self._decide_general(b)
             if not ok:
-                raise RuntimeError("construction disagrees with decision")
+                raise InternalError("construction disagrees with decision")
         return self._solved[1]
 
     def outcome(self, b: Sequence[int]) -> BMatchOutcome:
@@ -627,7 +638,7 @@ class BMatchEngine:
             return BMatchOutcome(witness=vs)
         plan = self.construct(b)
         if not _plan_is_perfect(self.G, b, plan):
-            raise RuntimeError("constructed plan failed verification")
+            raise InternalError("constructed plan failed verification")
         return BMatchOutcome(plan=plan)
 
 

@@ -19,14 +19,13 @@ Definitional enumerations of both conditions are kept as references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
 from .bmatch import ENUM_LIMIT, _double_cover, _neighbor_masks, _two_color
-from .core import Graph, Weights, check_weights
-from .errors import BudgetError, InstanceError
+from .core import Graph, Weights, _Value, check_weights
+from .errors import BudgetError, InstanceError, InternalError
 
 
 def is_connected(G: Graph) -> bool:
@@ -98,15 +97,25 @@ def independent_set_condition(G: Graph) -> Optional[tuple[int, ...]]:
     return best
 
 
-@dataclass(frozen=True)
-class UniversalVerdict:
+class UniversalVerdict(_Value):
     """Outcome of the every-assignment check.  On failure, reason is
     "disconnected", "even_order" or "isolated_condition"; in the last
     case witness is a nonempty U isolating at least |U| vertices."""
 
+    _fields = ("verdict", "reason", "witness")
     verdict: bool
-    reason: Optional[str] = None
-    witness: Optional[tuple[int, ...]] = None
+    reason: Optional[str]
+    witness: Optional[tuple[int, ...]]
+
+    def __init__(
+        self,
+        verdict: bool,
+        reason: Optional[str] = None,
+        witness: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     def to_jsonable(self) -> dict:
         return {
@@ -200,16 +209,16 @@ def _sink_component(succ: Sequence[Sequence[int]], root: int) -> list[int]:
             low[parent] = low[v]
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Value):
     """Two disjoint vertex sets; every edge of the host graph must cross."""
 
+    _fields = ("left", "right")
     left: tuple[int, ...]
     right: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        left = tuple(sorted(self.left))
-        right = tuple(sorted(self.right))
+    def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
+        left = tuple(sorted(left))
+        right = tuple(sorted(right))
         if set(left) & set(right):
             raise InstanceError("bipartition sides overlap")
         object.__setattr__(self, "left", left)
@@ -242,13 +251,17 @@ def is_balanced(w: Sequence[int], part: Bipartition) -> bool:
     return sum(tw[v] for v in part.left) == sum(tw[v] for v in part.right)
 
 
-@dataclass(frozen=True)
-class HallVerdict:
+class HallVerdict(_Value):
     """verdict False comes with a witness: a nonempty X properly inside
     one side with |N(X)| <= |X|."""
 
+    _fields = ("verdict", "witness")
     verdict: bool
-    witness: Optional[tuple[int, ...]] = None
+    witness: Optional[tuple[int, ...]]
+
+    def __init__(self, verdict: bool, witness: Optional[tuple[int, ...]] = None) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
 
 def _neighborhood(G: Graph, X: Iterable[int]) -> set[int]:
@@ -266,7 +279,8 @@ def _unequal_sides_verdict(G: Graph, big: tuple[int, ...], small_len: int) -> Ha
     if size >= len(big):
         return HallVerdict(True)
     X = big[:size]
-    assert len(_neighborhood(G, X)) <= len(X)
+    if len(_neighborhood(G, X)) > len(X):
+        raise InternalError(f"side subset {list(X)} is not a Hall witness")
     return HallVerdict(False, X)
 
 

@@ -3,7 +3,8 @@
 Every subcommand reads an instance file, prints one JSON document to
 stdout, and exits 0 when it reached a decision (feasible and infeasible
 both count as decisions).  Exit 1 is a usage error, 2 a parse/input
-error, 3 a budget or limit error.  Output is deterministic: running the
+error, 3 a budget or limit error, 4 an internal error (a self-check on
+the package's own answer failed).  Output is deterministic: running the
 same command twice yields byte-identical stdout.
 """
 
@@ -33,7 +34,7 @@ from .core import (
     serialize_instance,
 )
 from .equate import equate
-from .errors import BudgetError, InstanceError, ParseError
+from .errors import BudgetError, InstanceError, InternalError, ParseError
 from .hyper import hyper_equate, reduce_pm_to_equate
 from .oracles import equate_backtracking, min_beta_scan
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(obj) -> None:
@@ -291,6 +293,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

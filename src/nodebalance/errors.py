@@ -30,3 +30,9 @@ class BudgetError(RuntimeError):
             extra = ", ".join(f"{k}={v}" for k, v in sorted(detail.items()))
             message = f"{message} ({extra})"
         super().__init__(message)
+
+
+class InternalError(RuntimeError):
+    """A self-check on the package's own answer failed: a plan did not
+    replay, a certificate did not re-verify, or two steps of one solve
+    disagreed.  It means a defect in the package, not in the input."""

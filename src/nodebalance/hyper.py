@@ -23,12 +23,19 @@ pin beta = 1, so a reduced instance costs one search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import Hypergraph, IncrementPlan, Weights, _apply_plan, check_weights, is_uniform
-from .errors import BudgetError, InstanceError
+from .core import (
+    Hypergraph,
+    IncrementPlan,
+    Weights,
+    _apply_plan,
+    _Value,
+    check_weights,
+    is_uniform,
+)
+from .errors import BudgetError, InstanceError, InternalError
 
 MAX_EDGES = 16
 PM_LIMIT = 24
@@ -43,8 +50,7 @@ def default_beta_cap(H: Hypergraph, w: Sequence[int]) -> int:
     return max(maxw, H.n * maxw * maxsize)
 
 
-@dataclass(frozen=True)
-class HyperEquateResult:
+class HyperEquateResult(_Value):
     """Smallest target within the cap, or the reason none exists.
 
     reason is None (feasible), "beta_cap" (nothing in [max w, cap] works;
@@ -53,11 +59,26 @@ class HyperEquateResult:
     edgeless vertex pins the target to an impossible value; the vertex is
     reported)."""
 
+    _fields = ("cap", "beta", "plan", "reason", "frozen")
     cap: int
-    beta: Optional[int] = None
-    plan: Optional[IncrementPlan] = None
-    reason: Optional[str] = None
-    frozen: Optional[int] = None
+    beta: Optional[int]
+    plan: Optional[IncrementPlan]
+    reason: Optional[str]
+    frozen: Optional[int]
+
+    def __init__(
+        self,
+        cap: int,
+        beta: Optional[int] = None,
+        plan: Optional[IncrementPlan] = None,
+        reason: Optional[str] = None,
+        frozen: Optional[int] = None,
+    ) -> None:
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "frozen", frozen)
 
     @property
     def feasible(self) -> bool:
@@ -217,19 +238,26 @@ def hyper_equate(
         plan = _backtrack(H, tw, beta)
         if plan is not None:
             if _apply_plan(H, tw, plan) != (beta,) * H.n:
-                raise RuntimeError("backtracking plan failed replay check")
+                raise InternalError("backtracking plan failed replay check")
             return HyperEquateResult(cap, beta=beta, plan=plan)
     return HyperEquateResult(cap, reason="beta_cap")
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(_Value):
     """Equalization instance encoding a hypergraph perfect-matching
     question; gadget vertex ids are (p, q, r) = (n, n+1, n+2)."""
 
+    _fields = ("hypergraph", "weights", "new_vertex_ids")
     hypergraph: Hypergraph
     weights: Weights
     new_vertex_ids: tuple[int, int, int]
+
+    def __init__(
+        self, hypergraph: Hypergraph, weights: Weights, new_vertex_ids: tuple[int, int, int]
+    ) -> None:
+        object.__setattr__(self, "hypergraph", hypergraph)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "new_vertex_ids", new_vertex_ids)
 
 
 def reduce_pm_to_equate(H: Hypergraph) -> ReductionOutput:

@@ -1,9 +1,12 @@
 """Matching and flow primitives.
 
 Maximum matching on general graphs (Edmonds' blossom algorithm, array
-based, breadth-first with deterministic scan order) plus a small Dinic
-max-flow implementation.  The b-matching engine builds on both; the
-classification module reuses Dinic for bipartite matching checks.
+based, breadth-first with deterministic scan order), bipartite matching
+by Kuhn's augmenting paths, and a small Dinic max-flow implementation.
+The b-matching engine builds on blossom and Dinic.  The classification
+module uses Kuhn's bipartite_matching for strict_hall's pairwise-deletion
+checks and Dinic, on the bipartite double cover, for
+universal_equatable.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@ exhaustive graph catalogs the equivalence suites sweep over."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 import random
 from math import gcd
 
@@ -22,6 +24,17 @@ from nodebalance.hyper import HyperEquateResult, _backtrack, default_beta_cap
 
 # filled by the acceptance tests, printed by the conftest summary hook
 ACCEPTANCE: list[tuple] = []
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_bench_tracing():
+    """The benchmark's tracer module (bench/tracing.py), whose SPANS and
+    COUNTS name the program functions it wraps."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def path_graph(n: int) -> Graph:

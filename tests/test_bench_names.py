@@ -3,22 +3,12 @@ name.  A rename in the program would break only a traced benchmark run, so
 every name it lists is checked here."""
 
 import importlib
-import importlib.util
-import pathlib
 
 import pytest
 
-_TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from support import load_bench_tracing
 
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-_tracing = _load_tracing()
+_tracing = load_bench_tracing()
 
 
 @pytest.mark.parametrize(

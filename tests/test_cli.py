@@ -2,15 +2,22 @@
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from nodebalance import Graph, equate, parse_instance, serialize_instance
+from nodebalance import bmatch, cli
 from nodebalance.cli import main
-from support import CHAIN_TOP, NEAR_OFFSET, near_2p53_instance, triangle_chain
+from support import (
+    CHAIN_TOP,
+    NEAR_OFFSET,
+    ROOT,
+    load_bench_tracing,
+    near_2p53_instance,
+    triangle_chain,
+)
 
 K3_100 = "instances/k3_100.txt"
 PUZZLE = "instances/puzzle_c6.txt"
@@ -195,6 +202,25 @@ class TestExitCodes:
         rc, out, err = run(capsys, "equate", str(bad))
         assert rc == 2 and out == "" and "line 2" in err
 
+    def test_internal_error_exit(self, capsys, tmp_path, monkeypatch):
+        # the path 0-1-2 with w = (0, 1, 0) is infeasible at its first
+        # probe, so the engine takes a cut, which no longer re-verifies
+        path = tmp_path / "p3.txt"
+        path.write_text("graph 3\ne 0 1\ne 1 2\nw 1 1\n")
+        monkeypatch.setattr(bmatch, "_certificate", lambda G, U, b: None)
+        rc, out, err = run(capsys, "equate", str(path))
+        assert rc == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a violating set" in err
+
+    def test_recursion_error_propagates(self, capsys, monkeypatch):
+        def deep(G, w):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "equate", deep)
+        with pytest.raises(RecursionError):
+            main(["equate", K3_100])
+
 
 class TestNonBipartite:
     def test_equate_near_2p53(self, capfd, tmp_path):
@@ -236,11 +262,40 @@ class TestNonBipartite:
             f"    rc = main(['equate', {str(path)!r}])\n"
             "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["0", "False", "False"]
+
+
+def _fresh_modules(statement: str) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs one statement."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+class TestStartup:
+    """Module sets, not timings: what a process pays for at start-up."""
+
+    def test_cli_import_skips_heavy_stdlib(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize: about 12 ms
+        # of every CLI call
+        loaded = _fresh_modules("import nodebalance.cli")
+        assert "nodebalance.cli" in loaded
+        assert not {"dataclasses", "inspect"} & loaded
+
+    def test_package_import_loads_traced_modules(self):
+        # the benchmark's tracer wraps each function in every module that
+        # binds it, so those modules must all exist once the package is
+        # imported; it imports nodebalance.cli itself
+        tracing = load_bench_tracing()
+        traced = {mod for _, mod, _ in tracing.SPANS + tracing.COUNTS
+                  if mod.startswith("nodebalance.")} - {"nodebalance.cli"}
+        assert traced
+        assert traced <= _fresh_modules("import nodebalance")
 
 
 class TestVerify:
