@@ -309,19 +309,19 @@ def _solve_expansion(G: Graph, b: Sequence[int]) -> Optional[IncrementPlan]:
     match = matching.maximum_matching(adj)
     if any(m == -1 for m in match):
         return None
-    return _expansion_plan(copy_of, match, {})
+    return _expansion_plan(copy_of, match, dict.fromkeys(G.edges, 0))
 
 
 def _expansion_plan(
     copy_of: Sequence[int], match: Sequence[int], counts: dict[tuple[int, int], int]
 ) -> IncrementPlan:
-    """The plan that adds one step per matched pair of copies to counts."""
+    """The plan that adds one step per matched pair of copies to counts,
+    which holds every edge of G, in edge order."""
     for i, j in enumerate(match):
         if i < j:
             u, v = copy_of[i], copy_of[j]
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-    return IncrementPlan(tuple(counts.items()))
+            counts[(u, v) if u < v else (v, u)] += 1
+    return IncrementPlan._trusted(counts.items())
 
 
 def verify_plan_perfect(G: Graph, b: Iterable[int], plan: IncrementPlan) -> bool:
@@ -362,7 +362,11 @@ def _double_cover(G: Graph, b: Sequence[int]) -> tuple[matching.Dinic, list[tupl
     capacity b(v).  Every edge uv of G gives the arcs u_L->v_R and
     v_L->u_R of capacity sum(b) + 1, whose ids are returned in edge order.
     A max flow of value sum(b) is a perfect b-matching of the cover, and
-    halved, a half-integral perfect b-matching of G."""
+    halved, a half-integral perfect b-matching of G.
+
+    Every arc runs s -> v_L, u_L -> v_R or v_R -> t, so callers solve it
+    with Dinic.two_layer_max_flow, whose greedy first phase pushes what
+    Dinic's first blocking flow would."""
     n = G.n
     s, t = 2 * n, 2 * n + 1
     net = matching.Dinic(2 * n + 2)
@@ -507,6 +511,14 @@ class BMatchEngine:
         return vs
 
     def _build_flow(self, b: Sequence[int]):
+        """Transportation network of a bipartite G, before any flow.
+
+        The source n feeds each side-0 vertex v and each side-1 vertex v
+        drains into the sink n + 1, both with capacity b(v); every edge
+        gives one arc from its side-0 end to its side-1 end, of capacity
+        sum(b) + 1.  Returns (network, arc id per edge in edge order, s,
+        t).  Every arc runs s -> side 0 -> side 1 -> t, so
+        Dinic.two_layer_max_flow applies."""
         side0, side1 = self.sides
         s, t = self.n, self.n + 1
         net = matching.Dinic(self.n + 2)
@@ -525,10 +537,10 @@ class BMatchEngine:
     def _decide_bipartite_flow(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
         side0, _ = self.sides
         net, mid, s, t = self._build_flow(b)
-        flow = net.max_flow(s, t)
+        flow = net.two_layer_max_flow(s, t)
         if flow == sum(b[v] for v in side0):
-            flows = tuple((edge, net.edge_flow(eid)) for edge, eid in mid.items())
-            self._solved = (b, IncrementPlan(flows))
+            flows = [(edge, net.edge_flow(eid)) for edge, eid in mid.items()]
+            self._solved = (b, IncrementPlan._trusted(flows))
             return True, None
         # min-cut argument: the reachable part X of the pushing side has
         # b(X) > b(N(X)); U = N(X) is then a violating set
@@ -561,7 +573,7 @@ class BMatchEngine:
         total = sum(b)
         net, arcs = _double_cover(G, b)
         s, t = 2 * n, 2 * n + 1
-        if net.max_flow(s, t) < total:
+        if net.two_layer_max_flow(s, t) < total:
             reach = net.residual_reachable(s)
             S = [v for v in range(n) if reach[v] and not reach[n + v]]
             U = sorted({u for v in S for u in G.neighbors(v)})
@@ -569,7 +581,7 @@ class BMatchEngine:
         twice = [net.edge_flow(e1) + net.edge_flow(e2) for e1, e2 in arcs]
         y = [x // 2 for x in twice]
         if _round_circuits(G, twice, y) == 0:
-            return BMatchOutcome(plan=IncrementPlan(tuple(zip(G.edges, y))))
+            return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, y)))
         return self._repair(b, y)
 
     def _repair(self, b: Sequence[int], y: Sequence[int]) -> BMatchOutcome:

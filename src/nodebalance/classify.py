@@ -165,7 +165,7 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         return UniversalVerdict(False, "even_order")
     n = G.n
     net, _ = _double_cover(G, (1,) * n)
-    if net.max_flow(2 * n, 2 * n + 1) < n:
+    if net.two_layer_max_flow(2 * n, 2 * n + 1) < n:
         reach = net.residual_reachable(2 * n)
         X = [v for v in range(n) if reach[v]]
     else:

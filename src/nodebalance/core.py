@@ -236,6 +236,16 @@ class IncrementPlan(_Value):
     def empty(cls) -> "IncrementPlan":
         return cls(())
 
+    @classmethod
+    def _trusted(cls, entries: Iterable[tuple[PlanKey, int]]) -> "IncrementPlan":
+        """A plan from the engines' own (key, count) pairs, with nothing
+        checked again: the keys must be distinct, normalized and in
+        canonical order, and the counts non-negative ints.  Only the zero
+        counts are dropped.  Plans from outside go through __init__."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "entries", tuple(e for e in entries if e[1]))
+        return plan
+
     def items(self) -> Iterator[tuple[PlanKey, int]]:
         return iter(self.entries)
 

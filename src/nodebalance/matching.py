@@ -2,11 +2,27 @@
 
 Maximum matching on general graphs (Edmonds' blossom algorithm, array
 based, breadth-first with deterministic scan order), bipartite matching
-by Kuhn's augmenting paths, and a small Dinic max-flow implementation.
-The b-matching engine builds on blossom and Dinic.  The classification
+by Kuhn's augmenting paths, and Dinic's max flow (Dinic 1970).  The
+b-matching engine builds on blossom and Dinic.  The classification
 module uses Kuhn's bipartite_matching for strict_hall's pairwise-deletion
 checks and Dinic, on the bipartite double cover, for
 universal_equatable.
+
+The flow leaves exactly the residual capacities of the textbook method:
+a BFS levelling per phase, then recursive searches from s that each push
+the bottleneck of one path along current-arc pointers.  It only skips
+steps that cannot change them:
+- the BFS stops once t has its level, since nothing levelled after t can
+  lie on a path of the level graph;
+- after a push the search resumes at the tail of the first saturated arc
+  instead of at s, since the recursion walks back down the same
+  pointers to exactly there; the bottleneck is the minimum over the path
+  alone, so a push costs the same at any capacity size;
+- on the engines' two-layer networks (s -> L -> R -> t) a greedy pass
+  over the paths in arc order pushes the first blocking flow, which is
+  what the first phase's search does there (Dinic.two_layer_max_flow).
+The double-cover rounding and the parity repair downstream therefore see
+the same flow whichever of these steps run.
 """
 
 from __future__ import annotations
@@ -41,43 +57,55 @@ class _BlossomSearch:
     vertices.  find_from() grows a tree from one exposed root and returns
     the exposed far endpoint of an augmenting path, or -1.  The matching
     itself is not modified; callers augment via the p[] chain.
+
+    The arrays live across searches: tree lists the vertices the last
+    search touched, in the order it reached them, and only those are
+    reset before the next one, so a search costs what it explores.
     """
 
     def __init__(self, adj: Adjacency, match: list[int]):
         self.adj = adj
         self.match = match
-        self.n = len(adj)
-        self.p = [-1] * self.n
-        self.base = list(range(self.n))
-        self.used = [False] * self.n
+        n = len(adj)
+        self.p = [-1] * n
+        self.base = list(range(n))
+        self.used = [False] * n
+        self.tree: list[int] = []
+        # _lca marks a vertex with the number of the call that saw it
+        self.seen = [0] * n
+        self.stamp = 0
 
     def _lca(self, a: int, b: int) -> int:
-        seen = [False] * self.n
+        base, match, p, seen = self.base, self.match, self.p, self.seen
+        self.stamp += 1
+        stamp = self.stamp
         while True:
-            a = self.base[a]
-            seen[a] = True
-            if self.match[a] == -1:
+            a = base[a]
+            seen[a] = stamp
+            if match[a] == -1:
                 break
-            a = self.p[self.match[a]]
+            a = p[match[a]]
         while True:
-            b = self.base[b]
-            if seen[b]:
+            b = base[b]
+            if seen[b] == stamp:
                 return b
-            b = self.p[self.match[b]]
+            b = p[match[b]]
 
-    def _mark_path(self, v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def _mark_path(self, v: int, b: int, child: int, blossom: set[int]) -> None:
         while self.base[v] != b:
-            blossom[self.base[v]] = True
-            blossom[self.base[self.match[v]]] = True
+            blossom.add(self.base[v])
+            blossom.add(self.base[self.match[v]])
             self.p[v] = child
             child = self.match[v]
             v = self.p[self.match[v]]
 
     def find_from(self, root: int) -> int:
         match, base, p, used = self.match, self.base, self.p, self.used
-        self.p = p = [-1] * self.n
-        self.base = base = list(range(self.n))
-        self.used = used = [False] * self.n
+        for v in self.tree:
+            p[v] = -1
+            base[v] = v
+            used[v] = False
+        self.tree = tree = [root]
         used[root] = True
         q = deque([root])
         while q:
@@ -86,22 +114,28 @@ class _BlossomSearch:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # even-even edge: contract the blossom through the lca
+                    # even-even edge: contract the blossom through the lca.
+                    # Only tree vertices can lie in it, and they are taken
+                    # in ascending order, as a scan over all n would.
                     curbase = self._lca(v, to)
-                    blossom = [False] * self.n
+                    blossom: set[int] = set()
                     self._mark_path(v, curbase, to, blossom)
                     self._mark_path(to, curbase, v, blossom)
-                    for i in range(self.n):
-                        if blossom[base[i]]:
+                    for i in sorted(tree):
+                        if base[i] in blossom:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
                                 q.append(i)
                 elif p[to] == -1:
+                    # to is outside the tree: a tree vertex is the root,
+                    # an odd vertex (p set) or the partner of one
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    tree.append(match[to])
                     q.append(match[to])
         return -1
 
@@ -147,7 +181,7 @@ def even_reachable(adj: Adjacency, match: list[int]) -> list[int]:
             continue
         if search.find_from(v) != -1:
             raise ValueError("matching is not maximum")
-        for i in range(n):
+        for i in search.tree:
             if search.used[i]:
                 outer[i] = True
     return [v for v in range(n) if outer[v]]
@@ -204,8 +238,9 @@ def left_deficient_set(adj_lr: Adjacency, ml: list[int], mr: list[int]) -> list[
 
 
 class Dinic:
-    """Integer max flow.  Edges are paired (id, id^1) with the reverse edge
-    holding the pushed flow as residual capacity."""
+    """Integer max flow by Dinic's method.  Edges are paired (id, id^1)
+    with the reverse edge holding the pushed flow as residual capacity.
+    Capacities are Python ints of any size."""
 
     def __init__(self, n: int):
         self.n = n
@@ -227,59 +262,117 @@ class Dinic:
         return self.cap[eid ^ 1]
 
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
+        """Level the nodes by residual distance from s, stopping as soon as
+        t gets its level: every node levelled later lies at t's distance or
+        beyond, so no path of the level graph passes it."""
+        head, to, cap = self.head, self.to, self.cap
+        self.level = level = [-1] * self.n
+        level[s] = 0
         q = deque([s])
         while q:
             v = q.popleft()
-            for eid in self.head[v]:
-                u = self.to[eid]
-                if self.cap[eid] > 0 and self.level[u] == -1:
-                    self.level[u] = self.level[v] + 1
+            d = level[v] + 1
+            for eid in head[v]:
+                u = to[eid]
+                if cap[eid] > 0 and level[u] == -1:
+                    level[u] = d
+                    if u == t:
+                        return True
                     q.append(u)
-        return self.level[t] != -1
+        return False
 
-    def _augment(self, s: int, t: int) -> int:
-        """Push one blocking-flow path from s to t in the level graph and
-        return its bottleneck (0 when none is left).  Depth-first with an
-        explicit stack: the current-arc pointer it[v] advances past an arc
-        only when the search below it dead-ends, so arcs are tried in the
-        same order as the textbook recursion, at any path length."""
-        head, to, cap, level, it = self.head, self.to, self.cap, self.level, self.it
+    def _blocking_flow(self, s: int, t: int) -> int:
+        """Push a blocking flow of the level graph and return its value.
+
+        Depth-first with an explicit stack and current-arc pointers it[v],
+        trying arcs in the order of the textbook recursion at any path
+        length.  After a push the search resumes at the tail of the first
+        saturated arc, where the recursion would return to; the path up to
+        there still has residual capacity.  A node that dead-ends leaves
+        the level graph, so no later path enters it."""
+        head, to, cap, level = self.head, self.to, self.cap, self.level
+        it = [0] * self.n
         path: list[int] = []
+        flow = 0
         v = s
-        while v != t:
+        while True:
+            if v == t:
+                pushed = min([cap[eid] for eid in path])
+                flow += pushed
+                cut = -1
+                for i, eid in enumerate(path):
+                    left = cap[eid] - pushed
+                    cap[eid] = left
+                    cap[eid ^ 1] += pushed
+                    if not left and cut < 0:
+                        cut = i
+                v = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
             arcs = head[v]
-            while it[v] < len(arcs):
-                eid = arcs[it[v]]
-                if cap[eid] > 0 and level[to[eid]] == level[v] + 1:
+            i = it[v]
+            d = level[v] + 1
+            while i < len(arcs):
+                eid = arcs[i]
+                if cap[eid] > 0 and level[to[eid]] == d:
                     break
-                it[v] += 1
+                i += 1
             else:
-                if not path:
-                    return 0
                 # dead end: retreat one arc and skip it at its tail
+                if not path:
+                    return flow
+                level[v] = -1
                 v = to[path.pop() ^ 1]
                 it[v] += 1
                 continue
+            it[v] = i
             path.append(eid)
             v = to[eid]
-        pushed = min([1 << 62] + [cap[eid] for eid in path])
-        for eid in path:
-            cap[eid] -= pushed
-            cap[eid ^ 1] += pushed
-        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                got = self._augment(s, t)
-                if not got:
-                    break
-                flow += got
+            flow += self._blocking_flow(s, t)
         return flow
+
+    def two_layer_max_flow(self, s: int, t: int) -> int:
+        """max_flow on a network with no flow yet whose arcs all run
+        s -> L, L -> R or R -> t, with at most one arc R -> t per R node.
+
+        Dinic's first level graph there holds exactly the paths
+        s -> a -> c -> t with residual capacity, and its depth-first
+        search takes them in arc order: each push saturates s -> a (the
+        search moves on to the next a) or a -> c or c -> t (it moves on to
+        the next arc of a).  One greedy pass over the same paths in the
+        same order therefore pushes the same first blocking flow, without
+        the level graph, and max_flow finishes from there with the
+        residual capacities Dinic's method leaves at that point."""
+        head, to, cap = self.head, self.to, self.cap
+        sink = [-1] * self.n
+        for eid in head[t]:
+            sink[to[eid]] = eid ^ 1
+        flow = 0
+        for e1 in head[s]:
+            left = cap[e1]
+            if left <= 0:
+                continue
+            for e2 in head[to[e1]]:
+                e3 = sink[to[e2]]
+                if e3 < 0 or cap[e2] <= 0 or cap[e3] <= 0:
+                    continue
+                pushed = min(left, cap[e2], cap[e3])
+                cap[e2] -= pushed
+                cap[e2 ^ 1] += pushed
+                cap[e3] -= pushed
+                cap[e3 ^ 1] += pushed
+                left -= pushed
+                if not left:
+                    break
+            pushed = cap[e1] - left
+            cap[e1] = left
+            cap[e1 ^ 1] += pushed
+            flow += pushed
+        return flow + self.max_flow(s, t)
 
     def residual_reachable(self, s: int) -> list[bool]:
         """Vertices reachable from s along positive residual edges; after

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -247,6 +248,21 @@ class TestNonBipartite:
         doc = json.loads(out)
         assert out == json.dumps(doc, indent=2) + "\n"
         assert doc["beta"] == CHAIN_TOP
+
+    def test_equate_huge_demands(self, capfd, tmp_path):
+        # 10^30 is far past 2^63; the flow pushes it in one step
+        huge = 10**30
+        G = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        path = tmp_path / "k4.txt"
+        path.write_text(serialize_instance(G, (0, 0, huge, huge)))
+        start = time.perf_counter()
+        rc = main(["equate", str(path)])
+        assert time.perf_counter() - start < 1
+        out = capfd.readouterr().out
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["beta"] == huge
+        assert doc["plan"] == [{"edge": [0, 1], "count": huge}]
 
     def test_equate_imports_no_scipy(self, tmp_path):
         # the Petersen graph: odd cycles and ten vertices

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -470,3 +471,65 @@ class TestMetamorphic:
                     assert res.reason == base.reason
                     for parity, cert in res.certificates.items():
                         assert_certifies(G, wc, parity, cert)
+
+
+HUGE = 10**30
+
+
+class TestExactAtAnySize:
+    """Exact integer arithmetic whatever the weights: the flow's bottleneck
+    is the minimum over its own path, so a demand far past 2^63 costs what
+    a small one does, and a uniform shift moves nothing but beta."""
+
+    def test_double_cover_route(self):
+        G = complete_graph(4)
+        w = (0, 0, HUGE, HUGE)
+        start = time.perf_counter()
+        res = equate(G, w)
+        assert res.beta == HUGE
+        assert res.plan == IncrementPlan({(0, 1): HUGE})
+        assert apply_plan(G, w, res.plan) == (HUGE,) * 4
+        assert time.perf_counter() - start < 1
+
+    def test_bipartite_flow_route(self):
+        k = 7
+        G = Graph(2 * k, [(u, k + v) for u in range(k) for v in range(k)])
+        engine = BMatchEngine(G)
+        assert engine.colors is not None and k > _SUBSET_SIDE
+        w = tuple(0 if v in (0, k) else HUGE for v in range(2 * k))
+        start = time.perf_counter()
+        res = equate(G, w)
+        assert res.beta == HUGE
+        assert res.plan == IncrementPlan({(0, k): HUGE})
+        assert apply_plan(G, w, res.plan) == (HUGE,) * (2 * k)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n", [50, 101, 200])
+    @pytest.mark.parametrize("bipartite", [False, True], ids=["odd-cycle", "bipartite"])
+    def test_huge_shift(self, n, bipartite):
+        rng = random.Random(f"huge:{n}:{bipartite}")
+        feasible = 0
+        for planned in (True, False, True, False):
+            if bipartite:
+                G, _ = rand_bipartite(rng, n // 2, n - n // 2, 2.5 / (n // 2))
+            else:
+                G = sparse_connected(rng, n)
+            w = planned_weights(rng, G, 10)[0] if planned else tuple(
+                rng.randint(0, 10) for _ in range(n)
+            )
+            base = equate(G, w)
+            wc = tuple(x + HUGE for x in w)
+            res = equate(G, wc)
+            assert res.feasible == base.feasible
+            if planned:
+                assert res.feasible
+            if not res.feasible:
+                assert res.reason == base.reason
+                continue
+            feasible += 1
+            assert res.beta == base.beta + HUGE
+            assert res.plan == base.plan
+            assert apply_plan(G, wc, res.plan) == (res.beta,) * n
+            for beta, weights in ((base.beta, w), (res.beta, wc)):
+                assert 2 * res.plan.total_steps == n * beta - sum(weights)
+        assert feasible >= 2

@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from nodebalance.bmatch import BMatchEngine, _double_cover
 from nodebalance.matching import (
     Dinic,
     bipartite_matching,
@@ -23,6 +24,112 @@ def adj_of(G):
 
 def nx_matching_size(G):
     return len(nx.max_weight_matching(nx_graph(G), maxcardinality=True))
+
+
+def recursive_max_flow(net, s, t):
+    """(flow, residual caps) of the textbook Dinic method on a copy of the
+    network: a full BFS per phase, then recursive searches from s, each
+    pushing the bottleneck of one path through the current-arc pointers."""
+    head, to, cap = net.head, net.to, list(net.cap)
+
+    def dfs(v, limit):
+        if v == t:
+            return limit
+        while it[v] < len(head[v]):
+            eid = head[v][it[v]]
+            u = to[eid]
+            if cap[eid] > 0 and level[u] == level[v] + 1:
+                got = dfs(u, cap[eid] if limit is None else min(limit, cap[eid]))
+                if got:
+                    cap[eid] -= got
+                    cap[eid ^ 1] += got
+                    return got
+            it[v] += 1
+        return 0
+
+    flow = 0
+    while True:
+        level = [-1] * len(head)
+        level[s] = 0
+        q = [s]
+        for v in q:
+            for eid in head[v]:
+                if cap[eid] > 0 and level[to[eid]] == -1:
+                    level[to[eid]] = level[v] + 1
+                    q.append(to[eid])
+        if level[t] == -1:
+            return flow, cap
+        it = [0] * len(head)
+        while True:
+            got = dfs(s, None)
+            if not got:
+                break
+            flow += got
+
+
+def full_array_matching(adj, start):
+    """maximum_matching by the textbook Edmonds search: p, base and used
+    rebuilt for every root, each blossom contracted by a scan of all n
+    vertices in ascending order."""
+    n = len(adj)
+    match = list(start)
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v, b, child, blossom):
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_from(root):
+        used[root] = True
+        q = [root]
+        for v in q:
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    curbase = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    q.append(match[to])
+        return -1
+
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        p, base, used = [-1] * n, list(range(n)), [False] * n
+        u = find_from(root)
+        while u != -1:
+            pu = p[u]
+            match[u], match[pu], u = pu, u, match[pu]
+    return match
 
 
 def check_valid(adj, match):
@@ -75,6 +182,19 @@ class TestMaximumMatching:
             grown += matching_size(start) < matching_size(match)
             even_reachable(adj, match)  # raises on a non-maximum matching
         assert grown >= 100
+
+    def test_same_matching_as_full_array_search(self):
+        # a search resets only the vertices the previous one touched and
+        # contracts over the tree alone; it must grow the same matching as
+        # the textbook search, which rebuilds its arrays every time
+        rng = random.Random(7)
+        for _ in range(300):
+            G = rand_graph(rng, rng.randint(2, 40), rng.choice((0.05, 0.1, 0.2, 0.4)))
+            adj = adj_of(G)
+            start = greedy_matching(adj) if rng.random() < 0.5 else [-1] * G.n
+            match = maximum_matching(adj, start)
+            assert match == full_array_matching(adj, start)
+            assert matching_size(match) == nx_matching_size(G)
 
     def test_greedy_is_valid_matching(self):
         rng = random.Random(2)
@@ -208,27 +328,8 @@ class TestDinic:
         assert d.max_flow(0, n - 1) == 2
 
     def test_same_flow_as_recursive_search(self):
-        # the textbook recursive blocking-flow search; the explicit-stack
-        # version must try arcs in the same order and leave the same flow
-        class Recursive(Dinic):
-            def _augment(self, s, t):
-                return self._dfs(s, t, 1 << 62)
-
-            def _dfs(self, v, t, pushed):
-                if v == t:
-                    return pushed
-                while self.it[v] < len(self.head[v]):
-                    eid = self.head[v][self.it[v]]
-                    u = self.to[eid]
-                    if self.cap[eid] > 0 and self.level[u] == self.level[v] + 1:
-                        got = self._dfs(u, t, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    self.it[v] += 1
-                return 0
-
+        # the kernel must leave exactly the residual capacities of the
+        # textbook method, whatever it skips on the way
         rng = random.Random(13)
         for _ in range(200):
             n = rng.randint(2, 12)
@@ -238,10 +339,35 @@ class TestDinic:
                 for v in range(n)
                 if u != v and rng.random() < 0.3
             ]
-            nets = [Dinic(n), Recursive(n)]
-            for net in nets:
-                for u, v, c in arcs:
-                    net.add_edge(u, v, c)
-            flows = [net.max_flow(0, n - 1) for net in nets]
-            assert flows[0] == flows[1]
-            assert nets[0].cap == nets[1].cap
+            net = Dinic(n)
+            for u, v, c in arcs:
+                net.add_edge(u, v, c)
+            flow, caps = recursive_max_flow(net, 0, n - 1)
+            assert net.max_flow(0, n - 1) == flow
+            assert net.cap == caps
+
+    def test_two_layer_networks_match_recursive_search(self):
+        # the greedy first phase plus max_flow leaves the textbook caps on
+        # the engines' networks: double covers of any graph, transportation
+        # networks of bipartite ones, demands from 0 up to 10^30
+        rng = random.Random(17)
+        covers = transports = 0
+        for i in range(300):
+            n = rng.randint(1, 10)
+            G = rand_graph(rng, n, rng.choice((0.15, 0.3, 0.6)))
+            top = rng.choice((0, 1, 3, 10**6, 10**30))
+            b = tuple(rng.randint(0, top) if rng.random() < 0.8 else 0 for _ in range(n))
+            if i % 2:
+                net, _ = _double_cover(G, b)
+                s, t = 2 * n, 2 * n + 1
+                covers += 1
+            else:
+                engine = BMatchEngine(G)
+                if engine.colors is None:
+                    continue
+                net, _, s, t = engine._build_flow(b)
+                transports += 1
+            flow, caps = recursive_max_flow(net, s, t)
+            assert net.two_layer_max_flow(s, t) == flow
+            assert net.cap == caps
+        assert covers == 150 and transports >= 60
