@@ -16,8 +16,8 @@ certificate; its deficiency (right side minus left side) is at least 1.
 
 Two exact integer engines share that certificate contract:
 
-- bipartite graphs: subset DP over the smaller side when it is small,
-  integer max flow otherwise;
+- bipartite graphs: the whole side of smaller total when the totals
+  differ, else one integer max flow, whose min cut gives the certificate;
 - graphs with an odd cycle: max flow on the bipartite double cover for
   the fractional condition, rounding around Euler circuits, and a parity
   repair by blossom matching in a window of 2 around the rounding
@@ -42,10 +42,6 @@ MAX_SUM_B = 50_000
 MAX_EDGE_COPIES = 5_000_000
 # default cap for full subset enumeration (2^n subsets)
 ENUM_LIMIT = 20
-
-# bipartite graphs whose smaller side has at most this many vertices are
-# decided by subset DP instead of max flow
-_SUBSET_SIDE = 6
 
 
 def check_bvector(b: Iterable[int], n: int) -> tuple[int, ...]:
@@ -272,20 +268,27 @@ def expand_graph(G: Graph, b: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     original vertex of copy i.  Raises BudgetError when sum(b) exceeds
     MAX_SUM_B or the copied edges exceed MAX_EDGE_COPIES.
     """
-    adj, copy_of = _expand(G, check_bvector(b, G.n))
+    tb = check_bvector(b, G.n)
+    _check_budget(G, tb)
+    adj, copy_of = _expand(G, tb)
     edges = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j]
     return Graph(len(adj), edges), copy_of
 
 
-def _expand(G: Graph, b: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
-    """(adjacency lists, copy_of) of the expansion for a validated b.  The
-    copies of a vertex are twins and share one ascending list."""
+def _check_budget(G: Graph, b: Sequence[int]) -> None:
+    """The budgets of the two expansion oracles.  The engine's parity
+    repair expands only its window, whose size the graph bounds."""
     sum_b = sum(b)
     edge_copies = sum(b[u] * b[v] for u, v in G.edges)
     if sum_b > MAX_SUM_B or edge_copies > MAX_EDGE_COPIES:
         raise BudgetError(
             "expansion budget exceeded", sum_b=sum_b, edge_copies=edge_copies
         )
+
+
+def _expand(G: Graph, b: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(adjacency lists, copy_of) of the expansion for a validated b.  The
+    copies of a vertex are twins and share one ascending list."""
     first = [0] * (G.n + 1)
     for v in range(G.n):
         first[v + 1] = first[v] + b[v]
@@ -301,11 +304,9 @@ def solve_bmatching_expansion(G: Graph, b: Iterable[int]) -> Optional[IncrementP
     """Construct a perfect b-matching by maximum matching on the expansion,
     or return None if the expansion has no perfect matching.  The
     expansion budgets of expand_graph apply."""
-    return _solve_expansion(G, check_bvector(b, G.n))
-
-
-def _solve_expansion(G: Graph, b: Sequence[int]) -> Optional[IncrementPlan]:
-    adj, copy_of = _expand(G, b)
+    tb = check_bvector(b, G.n)
+    _check_budget(G, tb)
+    adj, copy_of = _expand(G, tb)
     match = matching.maximum_matching(adj)
     if any(m == -1 for m in match):
         return None
@@ -423,10 +424,10 @@ class BMatchEngine:
     for bipartite graphs the sides) is computed once; decide() and
     outcome() can then be called for many demand vectors, which is what
     equate's jumps from below through the targets do.  Bipartite graphs
-    go through subset DP or max flow, graphs with an odd cycle through the
+    go through one max flow, graphs with an odd cycle through the
     double-cover flow plus parity repair of _general.  The plan of the
-    last demand a full solve found feasible is kept, so construct() on
-    that demand does not solve it again.  The engine trusts its demand
+    last demand a solve found feasible is kept, so construct() on that
+    demand does not solve it again.  The engine trusts its demand
     vectors: callers pass a tuple of n non-negative ints (the module's
     public functions validate before calling it)."""
 
@@ -438,15 +439,6 @@ class BMatchEngine:
             side0 = [v for v in range(G.n) if self.colors[v] == 0]
             side1 = [v for v in range(G.n) if self.colors[v] == 1]
             self.sides = (side0, side1)
-            small = 0 if len(side0) <= len(side1) else 1
-            self.small_side = small
-            sm = self.sides[small]
-            pos = {v: i for i, v in enumerate(self.sides[1 - small])}
-            # neighborhood of each small-side vertex as a mask over the
-            # other side's index space
-            self.small_nbr = [
-                sum(1 << pos[u] for u in G.neighbors(v)) for v in sm
-            ]
         # (demand, plan) of the last feasible flow or _general solve
         self._solved: Optional[tuple[Sequence[int], IncrementPlan]] = None
 
@@ -470,38 +462,17 @@ class BMatchEngine:
             # isolates the entire other side
             U = side0 if t0 < t1 else side1
             return False, self._cut(b, U)
-        sm = self.sides[self.small_side]
-        other = self.sides[1 - self.small_side]
-        k = len(sm)
-        if k <= _SUBSET_SIDE:
-            # transportation feasibility: equal totals plus, for every
-            # subset X of one side, b(X) <= b(N(X))
-            bx = [0] * (1 << k)
-            nx = [0] * (1 << k)
-            for mask in range(1, 1 << k):
-                lsb = mask & -mask
-                i = lsb.bit_length() - 1
-                rest = mask ^ lsb
-                bx[mask] = bx[rest] + b[sm[i]]
-                nx[mask] = nx[rest] | self.small_nbr[i]
-            worst_mask = 0
-            worst_gap = 0
-            for mask in range(1, 1 << k):
-                bn = 0
-                m = nx[mask]
-                while m:
-                    lsb = m & -m
-                    bn += b[other[lsb.bit_length() - 1]]
-                    m ^= lsb
-                gap = bx[mask] - bn
-                if gap > worst_gap:
-                    worst_gap = gap
-                    worst_mask = mask
-            if worst_gap == 0:
-                return True, None
-            U = sorted(other[i] for i in _bits(nx[worst_mask]))
-            return False, self._cut(b, U)
-        return self._decide_bipartite_flow(b)
+        net, mid, s, t = self._build_flow(b)
+        if net.two_layer_max_flow(s, t) == t0:
+            flows = [(edge, net.edge_flow(eid)) for edge, eid in mid.items()]
+            self._solved = (b, IncrementPlan._trusted(flows))
+            return True, None
+        # min-cut argument: the reachable part X of the pushing side has
+        # b(X) > b(N(X)); U = N(X) is then a violating set
+        reach = net.residual_reachable(s)
+        X = [v for v in side0 if reach[v]]
+        U = sorted({u for v in X for u in self.G.neighbors(v)})
+        return False, self._cut(b, U)
 
     def _cut(self, b: Sequence[int], U: Sequence[int]) -> ViolatingSet:
         # every cut the engine takes is re-verified here; U is sorted
@@ -534,21 +505,6 @@ class BMatchEngine:
             mid[(min(u, v), max(u, v))] = net.add_edge(u, v, inf)
         return net, mid, s, t
 
-    def _decide_bipartite_flow(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
-        side0, _ = self.sides
-        net, mid, s, t = self._build_flow(b)
-        flow = net.two_layer_max_flow(s, t)
-        if flow == sum(b[v] for v in side0):
-            flows = [(edge, net.edge_flow(eid)) for edge, eid in mid.items()]
-            self._solved = (b, IncrementPlan._trusted(flows))
-            return True, None
-        # min-cut argument: the reachable part X of the pushing side has
-        # b(X) > b(N(X)); U = N(X) is then a violating set
-        reach = net.residual_reachable(s)
-        X = [v for v in side0 if reach[v]]
-        U = sorted({u for v in X for u in self.G.neighbors(v)})
-        return False, self._cut(b, U)
-
     # ---- graphs with an odd cycle ---------------------------------
 
     def _decide_general(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
@@ -565,11 +521,10 @@ class BMatchEngine:
         S = A\\B is stable with N(S) inside B\\A, so U = N(S) violates.  A
         full flow halves to a half-integral perfect b-matching x, which
         _round_circuits rounds to y with one unit missing at the start of
-        each of its k odd circuits."""
+        each of its k odd circuits.  Only then, before the repair, does the
+        empty set get its own scan: an exact rounding is a plan, and a
+        short flow's cut is verified by _cut."""
         G, n = self.G, self.n
-        vs = _certificate(G, (), b)
-        if vs is not None:
-            return BMatchOutcome(witness=vs)
         total = sum(b)
         net, arcs = _double_cover(G, b)
         s, t = 2 * n, 2 * n + 1
@@ -582,6 +537,11 @@ class BMatchEngine:
         y = [x // 2 for x in twice]
         if _round_circuits(G, twice, y) == 0:
             return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, y)))
+        # a component of odd total b leaves an odd circuit, so only here
+        # can the empty set violate
+        vs = _certificate(G, (), b)
+        if vs is not None:
+            return BMatchOutcome(witness=vs)
         return self._repair(b, y)
 
     def _repair(self, b: Sequence[int], y: Sequence[int]) -> BMatchOutcome:
@@ -631,16 +591,12 @@ class BMatchEngine:
 
     def construct(self, b: Sequence[int]) -> IncrementPlan:
         """Build a plan for a demand vector already decided feasible: the
-        plan of the solve that decided it, or of a new solve when the
-        subset DP decided it or another demand was solved since."""
+        plan of the solve that decided it, or of a new solve when another
+        demand was solved since."""
         if all(x == 0 for x in b):
             return IncrementPlan.empty()
         if self._solved is None or self._solved[0] != b:
-            if self.colors is not None:
-                ok, _ = self._decide_bipartite_flow(b)
-            else:
-                ok, _ = self._decide_general(b)
-            if not ok:
+            if not self.decide(b)[0]:
                 raise InternalError("construction disagrees with decision")
         return self._solved[1]
 
@@ -664,7 +620,7 @@ def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
 def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     """Full interface: a verified plan when feasible, else a verified
     violating set.  On a graph with an odd cycle the parity repair
-    expands at most 4m + n copies whatever b is, so the budgets of
-    expand_graph can raise BudgetError there only on large graphs."""
+    expands at most 4m + n copies whatever b is, and the budgets of
+    expand_graph do not apply to it."""
     tb = check_bvector(b, G.n)
     return BMatchEngine(G).outcome(tb)

@@ -8,15 +8,20 @@ feasibility.  Each step raises the total weight by 2, which pins
 n*beta = sum(w) (mod 2) and restricts beta to at most two parities; per
 parity the feasible targets form an interval, because every vertex subset
 contributes one constraint linear in beta.  The search jumps from below
-through each admissible parity class: it probes the aligned max w, and
-each infeasible probe's violating set is a constraint that either lifts
-the next probe to its aligned lower bound, certifying every target
-skipped, or rules out every larger target, which ends the class.  A jump
-past n*max w also ends it; that guard only keeps the loop finite, since
-no valid certificate points past it.  With two admissible parities the
-two jumps advance together, always the one with the lower probe, so the
-first feasible probe is the answer over both classes, and its solve
-supplies the plan.
+through each admissible parity class, Newton steps on those constraints
+(Radzik 1992).  It starts at the star bound: deleting the neighbourhood
+N(v) of a vertex v of degree k >= 2 isolates v, so every feasible target
+has b(N(v)) >= b(v), that is (k - 1)*beta >= w(N(v)) - w(v).  The first
+probe is the aligned maximum of max w and these bounds, and the
+maximising N(v) certifies every target below it.  Each infeasible
+probe's violating set is a constraint that either lifts the next probe
+to its aligned lower bound, certifying every target skipped, or rules
+out every larger target, which ends the class.  A jump past n*max w also
+ends it; that guard only keeps the loop finite, since no valid
+certificate points past it, and the star bound is at most 2*max w.
+With two admissible parities the two jumps advance together, always the
+one with the lower probe, so the first feasible probe is the answer over
+both classes, and its solve supplies the plan.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
 def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcome:
     """Smallest feasible beta of one parity, by jumps from below.
 
-    The first probe is the aligned max w.  An infeasible probe's violating
+    The first probe is the aligned star bound (see _star_bound), below
+    which the maximising U = N(v) violates.  An infeasible probe's violating
     set, classified by constraint_bound, either gives an "at_least" bound
     strictly past the probe, where the next probe jumps (every target
     skipped violates that same set), or an "at_most"/"never" bound, which
@@ -156,16 +162,38 @@ def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcom
     return ParityOutcome(beta, plan, certs.get(parity))
 
 
+def _star_bound(G: Graph, w: Weights) -> int:
+    """max(max w, s*), with s* the largest ceil((w(N(v)) - w(v)) / (k - 1))
+    over the vertices v of degree k >= 2.  U = N(v) isolates v, so
+    b(N(v)) >= b(v) at every feasible target, and every target below
+    the bound of v violates at U = N(v).  Since w(N(v)) <= k*max w, the
+    bound is at most 2*max w."""
+    c = [-x for x in w]  # w(N(v)) - w(v)
+    for u, v in G.edges:
+        c[u] += w[v]
+        c[v] += w[u]
+    lo = max(w)
+    for v, cv in enumerate(c):
+        # cv <= max w <= lo at degree 1 or 0, and cv > lo*k implies cv > lo
+        if cv > lo:
+            k = G.degree(v) - 1
+            if cv > lo * k:
+                lo = -(-cv // k)
+    return lo
+
+
 def _search(
     eng: BMatchEngine, w: Weights, parities: Sequence[str]
 ) -> tuple[Optional[int], Optional[IncrementPlan], dict[str, ViolatingSet]]:
     """Trusted body of min_beta_for_parity and equate: w validated, the
-    parities admissible.  The jumps of all parities advance together, the
-    lowest open probe first, so the first feasible probe is the smallest
-    feasible target of them all: (beta, plan, {}).  When every parity
-    ends infeasible: (None, None, its last certificate per parity)."""
+    parities admissible.  The jumps of all parities start at the aligned
+    star bound and advance together, the lowest open probe first, so the
+    first feasible probe is the smallest feasible target of them all:
+    (beta, plan, {}).  When every parity ends infeasible: (None, None,
+    its last certificate per parity)."""
     guard = eng.n * max(w)
-    probe = {p: _align_up(max(w), p) for p in parities}
+    start = _star_bound(eng.G, w)
+    probe = {p: _align_up(start, p) for p in parities}
     certs: dict[str, ViolatingSet] = {}
     while probe:
         parity = min(probe, key=probe.__getitem__)

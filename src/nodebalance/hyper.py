@@ -9,10 +9,10 @@ of A x = beta*1 - w, with A the vertex-edge incidence matrix, so before
 searching, fraction-free integer elimination of that system finds the
 targets at which it has any rational solution at all: every beta, one
 integer beta, or none.  Only those targets are searched.  Results are
-"infeasible within cap" rather than unconditional, even when elimination
-leaves no target, except in two cases with a genuine proof: a vertex in
-no edge freezes its weight forever, and a divisibility obstruction can
-rule out every integer target at once.
+"infeasible within cap" rather than unconditional, except in three cases
+with a genuine proof: a vertex in no edge freezes its weight forever, a
+divisibility obstruction can rule out every integer target at once, and
+elimination can leave no target at all.
 
 reduce_pm_to_equate realizes the hardness direction: three fresh
 vertices p, q, r with weight 1, chained by edges {p,q} and {q,r}, force
@@ -55,8 +55,10 @@ class HyperEquateResult(_Value):
 
     reason is None (feasible), "beta_cap" (nothing in [max w, cap] works;
     larger targets remain possible), "divisibility" (no integer target at
-    all can satisfy the step-size arithmetic), or "frozen_vertex" (an
-    edgeless vertex pins the target to an impossible value; the vertex is
+    all can satisfy the step-size arithmetic), "no_rational_target"
+    (A x = beta*1 - w has no rational solution x at any integer beta, so
+    no target of any size has a plan), or "frozen_vertex" (an edgeless
+    vertex pins the target to an impossible value; the vertex is
     reported)."""
 
     _fields = ("cap", "beta", "plan", "reason", "frozen")
@@ -89,8 +91,8 @@ class HyperEquateResult(_Value):
         if not self.feasible:
             if self.reason == "frozen_vertex":
                 cert = {"type": "frozen_vertex", "vertex": self.frozen}
-            elif self.reason == "divisibility":
-                cert = {"type": "divisibility"}
+            elif self.reason in ("divisibility", "no_rational_target"):
+                cert = {"type": self.reason}
             else:
                 cert = {"type": "beta_cap", "cap": self.cap}
         return {
@@ -195,7 +197,9 @@ def hyper_equate(
     must be a multiple of their gcd g.  These targets form one residue
     class modulo g / gcd(n, g); the search visits only those at which the
     incidence system has a rational solution (see _rational_targets).
-    Raises BudgetError above MAX_EDGES hyperedges.
+    When there is no such target at all, the answer is
+    "no_rational_target", before any search.  Raises BudgetError above
+    MAX_EDGES hyperedges.
     """
     tw = check_weights(w, H.n)
     if H.m > MAX_EDGES:
@@ -224,6 +228,9 @@ def hyper_equate(
     if total % d:
         # no integer target solves n*beta = sum(w) (mod g)
         return HyperEquateResult(cap, reason="divisibility")
+    pinned = _rational_targets(H, tw)
+    if pinned == ():
+        return HyperEquateResult(cap, reason="no_rational_target")
     step = g // d
     first = maxw + ((total // d) * pow(H.n // d, -1, step) - maxw) % step
     if first > hi:
@@ -231,7 +238,6 @@ def hyper_equate(
         # arithmetic; otherwise the cap cuts the progression off
         return HyperEquateResult(cap, reason="divisibility" if frozen else "beta_cap")
     targets = range(first, hi + 1, step)
-    pinned = _rational_targets(H, tw)
     if pinned is not None:
         targets = [b for b in pinned if b in targets]
     for beta in targets:

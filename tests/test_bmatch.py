@@ -436,6 +436,28 @@ class TestRepairWindow:
         assert res.beta == CHAIN_TOP
         assert is_uniform(apply_plan(G, w, res.plan)) == CHAIN_TOP
 
+    @pytest.mark.parametrize("t", [4000, 8000])
+    def test_chain_past_the_oracle_budgets(self, t):
+        # 4m + n and sum(b) are past MAX_SUM_B, which bounds only the
+        # expansion oracles: the repair's window is bounded by the graph
+        import time
+
+        G, b = triangle_chain(t)
+        assert 4 * G.m + G.n > bmatch.MAX_SUM_B and sum(b) > bmatch.MAX_SUM_B
+        start = time.perf_counter()
+        assert decide_perfect_bmatching(G, b)
+        assert time.perf_counter() - start < 2
+        start = time.perf_counter()
+        out = perfect_bmatching(G, b)
+        assert apply_plan(G, (0,) * G.n, out.plan) == b
+        assert time.perf_counter() - start < 2
+        G, w = triangle_chain(t, pendant=True)
+        start = time.perf_counter()
+        res = equate(G, w)
+        assert res.beta == CHAIN_TOP
+        assert is_uniform(apply_plan(G, w, res.plan)) == CHAIN_TOP
+        assert time.perf_counter() - start < 2
+
     def test_window_size_ignores_b(self, repair_log):
         # the same rounds and copies at b = 2*10^6+1 and 2*10^15+1,
         # at most 4m + k copies and k/2 + 1 rounds

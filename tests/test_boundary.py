@@ -101,8 +101,8 @@ def _cuts_past(G, w, beta, parity):
 
 @st.composite
 def probe_case(draw):
-    # small general graphs (enumeration route) or bipartite graphs whose
-    # smaller side reaches past the subset-DP cut-off (flow route)
+    # small general graphs (double-cover route when there is an odd
+    # cycle) or bipartite graphs with up to 13 vertices a side (flow route)
     if draw(st.booleans()):
         n = draw(st.integers(2, 9))
         pairs = list(itertools.combinations(range(n), 2))

@@ -20,7 +20,7 @@ from nodebalance import (
     min_beta_scan,
     violating_set,
 )
-from nodebalance.bmatch import _SUBSET_SIDE, BMatchEngine, _tutte_terms
+from nodebalance.bmatch import BMatchEngine, _tutte_terms
 from nodebalance.equate import (
     PARITIES,
     BoundCase,
@@ -296,30 +296,32 @@ class TestJumpFromBelow:
             assert min(betas) <= top
 
     def test_near_2p53_three_probes(self, monkeypatch):
-        # the binary search over [max w, n*max w] took 58 probes here
+        # the binary search over [max w, n*max w] took 58 probes here, the
+        # jump from max w three; the star bound starts at the answer
         G, w, big = near_2p53_instance()
         twin = equate(G, w).beta
         decides = count_calls(monkeypatch, BMatchEngine, "decide")
         res = equate(G, big)
         assert res.beta == twin + NEAR_OFFSET
-        assert decides[0] <= 3
+        assert decides[0] == 1
 
     def test_guard_exit(self, monkeypatch):
-        # K3 with w=(0,2,2): beta=2 fails, and its certificate jumps to
-        # beta=4, which is feasible.  Valid certificates never point past
-        # n*max w (see below), so a bound past it is forced here: the
-        # search stops at the first probe and reports that probe's
-        # certificate
-        w = (0, 2, 2)
+        # C5 with w=(0,0,0,2,2): the star bound is 2, beta=2 fails, and
+        # its certificate jumps to beta=4, which is feasible.  Valid
+        # certificates never point past n*max w (see below), so a bound
+        # past it is forced here: the search stops at the first probe and
+        # reports that probe's certificate
+        C5 = cycle_graph(5)
+        w = (0, 0, 0, 2, 2)
         decides = count_calls(monkeypatch, BMatchEngine, "decide")
-        assert min_beta_for_parity(K3, w, "even").beta == 4 and decides[0] == 2
-        past = BoundCase("at_least", K3.n * max(w) + 2)
+        assert min_beta_for_parity(C5, w, "even").beta == 4 and decides[0] == 2
+        past = BoundCase("at_least", C5.n * max(w) + 2)
         monkeypatch.setattr(EQ, "_classify", lambda cert, w, parity: past)
         decides[0] = 0
-        out = min_beta_for_parity(K3, w, "even")
+        out = min_beta_for_parity(C5, w, "even")
         assert out.beta is None and decides[0] == 1
-        assert violating_set(K3, out.certificate.U, (2, 0, 0)) == out.certificate
-        assert_certifies(K3, w, "even", out.certificate)
+        assert violating_set(C5, out.certificate.U, (2, 2, 2, 0, 0)) == out.certificate
+        assert_certifies(C5, w, "even", out.certificate)
 
     def test_valid_bounds_within_guard(self):
         # every violating set of every small instance bounds beta from
@@ -363,6 +365,81 @@ class TestJumpFromBelow:
         assert infeasible >= 40
 
 
+def star_bounds(G, w):
+    """{v: ceil((w(N(v)) - w(v)) / (deg v - 1))} over the vertices of
+    degree at least 2, from the definition."""
+    out = {}
+    for v in range(G.n):
+        k = G.degree(v)
+        if k >= 2:
+            c = sum(w[u] for u in G.neighbors(v)) - w[v]
+            out[v] = -(-c // (k - 1))
+    return out
+
+
+class TestStarBound:
+    """The first probe is the aligned max(max w, s*), with s* the largest
+    bound b(N(v)) >= b(v) gives: N(v) isolates v."""
+
+    def instances(self, seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            n = rng.randint(3, 10)
+            if i % 2:
+                a = rng.randint(1, n - 1)
+                G, _ = rand_bipartite(rng, a, n - a, rng.choice((0.4, 0.7)))
+            else:
+                G = rand_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
+            w = tuple(rng.randint(0, rng.choice((3, 8))) for _ in range(n))
+            if is_uniform(w) is None and admissible_parities(G, w):
+                yield G, w
+
+    def test_first_probe_never_passes_the_answer(self, monkeypatch):
+        probes = []
+        decide = BMatchEngine.decide
+
+        def recording(self, b):
+            probes.append(b)
+            return decide(self, b)
+
+        monkeypatch.setattr(BMatchEngine, "decide", recording)
+        seen = {True: 0, False: 0}
+        for G, w in self.instances(41, 400):
+            answer = min_beta_scan(G, w)
+            found = []
+            for parity in admissible_parities(G, w):
+                probes.clear()
+                out = min_beta_for_parity(G, w, parity)
+                first = probes[0][0] + w[0]
+                assert first == EQ._align_up(max(w + tuple(star_bounds(G, w).values())), parity)
+                if out.beta is not None:
+                    assert first <= out.beta
+                    found.append(out.beta)
+            assert min(found, default=None) == answer
+            probes.clear()
+            assert equate(G, w).beta == answer
+            if answer is not None:
+                assert probes[0][0] + w[0] <= answer
+            seen[BMatchEngine(G).colors is not None] += 1
+        assert min(seen.values()) >= 80
+
+    def test_skipped_targets_violate_at_the_star(self):
+        skipped = 0
+        for G, w in self.instances(43, 400):
+            bounds = star_bounds(G, w)
+            if not bounds:
+                continue
+            v = max(bounds, key=bounds.__getitem__)
+            assert EQ._star_bound(G, w) == max(max(w), bounds[v])
+            for parity in admissible_parities(G, w):
+                for beta in range(EQ._align_up(max(w), parity), bounds[v], 2):
+                    b = tuple(beta - x for x in w)
+                    vs = violating_set(G, G.neighbors(v), b)
+                    assert v in vs.isolated
+                    skipped += 1
+        assert skipped >= 50
+
+
 class TestConstructOnce:
     def test_general_solves_once_per_probe(self, monkeypatch):
         rng = random.Random(23)
@@ -378,7 +455,7 @@ class TestConstructOnce:
     def test_bipartite_flow_once_per_probe(self, monkeypatch):
         # equal sides, so every probe has equal side totals and runs the flow
         rng = random.Random(29)
-        k = _SUBSET_SIDE + 2
+        k = 8
         G, _ = rand_bipartite(rng, k, k, 0.4)
         assert BMatchEngine(G).colors is not None
         w, _ = planned_weights(rng, G, 50)
@@ -495,7 +572,7 @@ class TestExactAtAnySize:
         k = 7
         G = Graph(2 * k, [(u, k + v) for u in range(k) for v in range(k)])
         engine = BMatchEngine(G)
-        assert engine.colors is not None and k > _SUBSET_SIDE
+        assert engine.colors is not None
         w = tuple(0 if v in (0, k) else HUGE for v in range(2 * k))
         start = time.perf_counter()
         res = equate(G, w)

@@ -75,10 +75,14 @@ class TestHyperEquate:
         assert not r.feasible and r.reason == "beta_cap" and r.cap == 1
         assert r.to_jsonable(H)["certificate"] == {"type": "beta_cap", "cap": 1}
 
-    def test_unconditional_beta_cap(self):
-        # single edge covering everything keeps the gap forever
-        r = hyper_equate(Hypergraph(2, [(0, 1)]), (0, 4), beta_cap=30)
-        assert r.reason == "beta_cap"
+    def test_no_rational_target(self):
+        # single edge covering everything keeps the gap forever, and
+        # elimination proves it: no target of any size, whatever the cap
+        H = Hypergraph(2, [(0, 1)])
+        r = hyper_equate(H, (0, 4), beta_cap=30)
+        assert not r.feasible and r.reason == "no_rational_target"
+        assert r.to_jsonable(H)["certificate"] == {"type": "no_rational_target"}
+        assert hyper._rational_targets(H, (0, 4)) == ()
 
     def test_divisibility(self):
         # [DERIVED: 6*beta - 1 is never a multiple of 3]
@@ -193,7 +197,13 @@ class TestElimination:
         feasible = 0
         for H, w, cap in seeded_instances(20, 320):
             got = hyper_equate(H, w, cap).to_jsonable(H)
-            assert got == hyper_equate_scan(H, w, cap).to_jsonable(H)
+            want = hyper_equate_scan(H, w, cap).to_jsonable(H)
+            if got["certificate"] == {"type": "no_rational_target"}:
+                # the scan, which has no elimination, finds nothing either
+                assert hyper._rational_targets(H, w) == ()
+                assert not want["equatable"]
+            else:
+                assert got == want
             feasible += got["equatable"]
         assert feasible >= 40
 
