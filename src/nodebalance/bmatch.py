@@ -14,18 +14,22 @@ counts the non-singleton components of G-U whose total b is odd.  A
 subset violating the inequality is a self-contained infeasibility
 certificate; its deficiency (right side minus left side) is at least 1.
 
-Two exact integer engines share that certificate contract:
+One exact integer engine decides it, with one max flow on the
+bipartite double cover per demand (Anstee 1987):
 
-- bipartite graphs: the whole side of smaller total when the totals
-  differ, else one integer max flow, whose min cut gives the certificate;
-- graphs with an odd cycle: max flow on the bipartite double cover for
-  the fractional condition, rounding around Euler circuits, and a parity
-  repair by blossom matching in a window of 2 around the rounding
-  (Anstee 1987), whose expansion has at most 4m + n copies whatever b
-  is, and whose Gallai-Edmonds decomposition gives the certificate.
+- a bipartite graph's cover is two copies of the graph, so the flow runs
+  on one copy, the transportation network of Schrijver's Combinatorial
+  Optimization, ch. 21; a full flow is the plan.  When the side totals
+  differ, the side of smaller total is the certificate and no flow runs;
+- on a graph with an odd cycle a full flow halves to a half-integral
+  solution, rounded around Euler circuits and repaired for parity by
+  blossom matching in a window of 2 around the rounding, whose
+  expansion has at most 4m + n copies whatever b is, and whose
+  Gallai-Edmonds decomposition gives the certificate;
+- a short flow, on either, gives the certificate by its min cut.
 
-Every witness, no matter which engine produced it, is re-verified against
-the subset definition before being returned.
+Every witness is re-verified against the subset definition before being
+returned.
 """
 
 from __future__ import annotations
@@ -225,17 +229,16 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def check_tutte_enumeration(
-    G: Graph, b: Iterable[int], *, limit: int = ENUM_LIMIT
-) -> Optional[ViolatingSet]:
+def check_tutte_enumeration(G: Graph, b: Iterable[int]) -> Optional[ViolatingSet]:
     """Evaluate the subset condition over all 2^n subsets in canonical
     order (by size, then lexicographically).  Returns None when every
     subset satisfies the condition (a perfect b-matching exists), else the
     violating set of maximum deficiency, ties broken by canonical order.
+    Raises BudgetError above ENUM_LIMIT vertices.
     """
     tb = check_bvector(b, G.n)
-    if G.n > limit:
-        raise BudgetError("enumeration limit exceeded", n=G.n, limit=limit)
+    if G.n > ENUM_LIMIT:
+        raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
     nbr = _neighbor_masks(G)
     all_mask = (1 << G.n) - 1
     best = None
@@ -355,15 +358,21 @@ def _two_color(G: Graph) -> Optional[list[int]]:
     return color
 
 
-def _double_cover(G: Graph, b: Sequence[int]) -> tuple[matching.Dinic, list[tuple[int, int]]]:
-    """Flow network of the bipartite double cover, before any flow.
+def _double_cover(
+    G: Graph, b: Sequence[int], colors: Optional[Sequence[int]] = None
+) -> tuple[matching.Dinic, list]:
+    """Flow network of the bipartite double cover, before any flow, and
+    the ids of its arcs per edge, in edge order.
 
     Node v is the left copy v_L and n + v the right copy v_R; the source
     2n feeds each v_L and each v_R drains into the sink 2n + 1, both with
     capacity b(v).  Every edge uv of G gives the arcs u_L->v_R and
-    v_L->u_R of capacity sum(b) + 1, whose ids are returned in edge order.
-    A max flow of value sum(b) is a perfect b-matching of the cover, and
-    halved, a half-integral perfect b-matching of G.
+    v_L->u_R of capacity sum(b) + 1.  A max flow of value sum(b) is a
+    perfect b-matching of the cover, and halved, a half-integral perfect
+    b-matching of G.  The cover of a bipartite G is two disjoint copies
+    of G, so given its 2-coloring only one is built: v_L for side 0, v_R
+    for side 1 and one arc per edge.  Its max flow of value b(side 0) is
+    a perfect b-matching of G itself.
 
     Every arc runs s -> v_L, u_L -> v_R or v_R -> t, so callers solve it
     with Dinic.two_layer_max_flow, whose greedy first phase pushes what
@@ -371,12 +380,37 @@ def _double_cover(G: Graph, b: Sequence[int]) -> tuple[matching.Dinic, list[tupl
     n = G.n
     s, t = 2 * n, 2 * n + 1
     net = matching.Dinic(2 * n + 2)
-    for v in range(n):
-        net.add_edge(s, v, b[v])
-        net.add_edge(n + v, t, b[v])
     inf = sum(b) + 1
-    arcs = [(net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges]
-    return net, arcs
+    if colors is None:
+        for v in range(n):
+            net.add_edge(s, v, b[v])
+            net.add_edge(n + v, t, b[v])
+        return net, [(net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges]
+    for v in range(n):
+        if colors[v]:
+            net.add_edge(n + v, t, b[v])
+        else:
+            net.add_edge(s, v, b[v])
+    return net, [net.add_edge(u, n + v, inf) if colors[v] else net.add_edge(v, n + u, inf)
+                 for u, v in G.edges]
+
+
+def _cover_cut(G: Graph, reach: Sequence[bool]) -> list[int]:
+    """U = N(A), sorted, for A the vertices whose left copy is in reach.
+
+    After a short flow on _double_cover, reach is the source side of the
+    smallest min cut, of capacity b(L\\A) + b(B) for L the vertices with
+    a left copy and B the reachable right copies.  An arc u_L->v_R never
+    saturates and t is out of reach, so B is the set of right copies of
+    N(A).  A\\N(A) spans a cut no larger (its neighbours lie in N(A)\\A),
+    so A is stable, b(A) > b(N(A)), and U = N(A), which isolates A,
+    violates.  On one copy of a bipartite graph A is the reachable part
+    of side 0."""
+    U: set[int] = set()
+    for v in range(G.n):
+        if reach[v]:
+            U.update(G.neighbors(v))
+    return sorted(U)
 
 
 def _round_circuits(G: Graph, twice: Sequence[int], y: list[int]) -> int:
@@ -423,13 +457,14 @@ class BMatchEngine:
     """Reusable per-graph solver.  Graph-only structure (the coloring, and
     for bipartite graphs the sides) is computed once; decide() and
     outcome() can then be called for many demand vectors, which is what
-    equate's jumps from below through the targets do.  Bipartite graphs
-    go through one max flow, graphs with an odd cycle through the
-    double-cover flow plus parity repair of _general.  The plan of the
-    last demand a solve found feasible is kept, so construct() on that
-    demand does not solve it again.  The engine trusts its demand
-    vectors: callers pass a tuple of n non-negative ints (the module's
-    public functions validate before calling it)."""
+    equate's jumps from below through the targets do.  Every demand goes
+    through one max flow on _double_cover, of one copy for a bipartite
+    graph, and on a graph with an odd cycle on to the rounding and parity
+    repair of _solve.  The plan of the last demand a solve found feasible
+    is kept, so construct() on that demand does not solve it again.  The
+    engine trusts its demand vectors: callers pass a tuple of n
+    non-negative ints (the module's public functions validate before
+    calling it)."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -439,7 +474,7 @@ class BMatchEngine:
             side0 = [v for v in range(G.n) if self.colors[v] == 0]
             side1 = [v for v in range(G.n) if self.colors[v] == 1]
             self.sides = (side0, side1)
-        # (demand, plan) of the last feasible flow or _general solve
+        # (demand, plan) of the last feasible solve
         self._solved: Optional[tuple[Sequence[int], IncrementPlan]] = None
 
     # ---- decision -------------------------------------------------
@@ -449,30 +484,11 @@ class BMatchEngine:
         against the subset definition before being returned."""
         if all(x == 0 for x in b):
             return True, None
-        if self.colors is not None:
-            return self._decide_bipartite(b)
-        return self._decide_general(b)
-
-    def _decide_bipartite(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
-        side0, side1 = self.sides
-        t0 = sum(b[v] for v in side0)
-        t1 = sum(b[v] for v in side1)
-        if t0 != t1:
-            # the whole smaller-sum side is a violating set: deleting it
-            # isolates the entire other side
-            U = side0 if t0 < t1 else side1
-            return False, self._cut(b, U)
-        net, mid, s, t = self._build_flow(b)
-        if net.two_layer_max_flow(s, t) == t0:
-            flows = [(edge, net.edge_flow(eid)) for edge, eid in mid.items()]
-            self._solved = (b, IncrementPlan._trusted(flows))
-            return True, None
-        # min-cut argument: the reachable part X of the pushing side has
-        # b(X) > b(N(X)); U = N(X) is then a violating set
-        reach = net.residual_reachable(s)
-        X = [v for v in side0 if reach[v]]
-        U = sorted({u for v in X for u in self.G.neighbors(v)})
-        return False, self._cut(b, U)
+        out = self._solve(b)
+        if out.plan is None:
+            return False, out.witness
+        self._solved = (b, out.plan)
+        return True, None
 
     def _cut(self, b: Sequence[int], U: Sequence[int]) -> ViolatingSet:
         # every cut the engine takes is re-verified here; U is sorted
@@ -481,58 +497,35 @@ class BMatchEngine:
             raise InternalError(f"cut {list(U)} is not a violating set")
         return vs
 
-    def _build_flow(self, b: Sequence[int]):
-        """Transportation network of a bipartite G, before any flow.
-
-        The source n feeds each side-0 vertex v and each side-1 vertex v
-        drains into the sink n + 1, both with capacity b(v); every edge
-        gives one arc from its side-0 end to its side-1 end, of capacity
-        sum(b) + 1.  Returns (network, arc id per edge in edge order, s,
-        t).  Every arc runs s -> side 0 -> side 1 -> t, so
-        Dinic.two_layer_max_flow applies."""
-        side0, side1 = self.sides
-        s, t = self.n, self.n + 1
-        net = matching.Dinic(self.n + 2)
-        inf = sum(b) + 1
-        for v in side0:
-            net.add_edge(s, v, b[v])
-        for v in side1:
-            net.add_edge(v, t, b[v])
-        mid = {}
-        for u, v in self.G.edges:
-            if self.colors[u] == 1:
-                u, v = v, u
-            mid[(min(u, v), max(u, v))] = net.add_edge(u, v, inf)
-        return net, mid, s, t
-
-    # ---- graphs with an odd cycle ---------------------------------
-
-    def _decide_general(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
-        out = self._general(b)
-        if out.plan is not None:
-            self._solved = (b, out.plan)
-        return out.feasible, out.witness
-
-    def _general(self, b: Sequence[int]) -> BMatchOutcome:
+    def _solve(self, b: Sequence[int]) -> BMatchOutcome:
         """Plan or verified certificate, by integer steps only.
 
-        A short max flow on the double cover (_double_cover) leaves
-        reachable left copies A and right copies B with b(A) > b(B);
-        S = A\\B is stable with N(S) inside B\\A, so U = N(S) violates.  A
-        full flow halves to a half-integral perfect b-matching x, which
-        _round_circuits rounds to y with one unit missing at the start of
-        each of its k odd circuits.  Only then, before the repair, does the
-        empty set get its own scan: an exact rounding is a plan, and a
-        short flow's cut is verified by _cut."""
-        G, n = self.G, self.n
-        total = sum(b)
-        net, arcs = _double_cover(G, b)
-        s, t = 2 * n, 2 * n + 1
-        if net.two_layer_max_flow(s, t) < total:
-            reach = net.residual_reachable(s)
-            S = [v for v in range(n) if reach[v] and not reach[n + v]]
-            U = sorted({u for v in S for u in G.neighbors(v)})
-            return BMatchOutcome(witness=self._cut(b, U))
+        On a bipartite graph with unequal side totals, the side of the
+        smaller total is the certificate.  Otherwise one max flow runs on
+        _double_cover, of one copy when G is bipartite; a short flow's cut
+        is _cover_cut, and a full flow on one copy is the plan.  A full
+        flow on the whole cover halves to a half-integral perfect
+        b-matching x, which _round_circuits rounds to y with one unit
+        missing at the start of each of its k odd circuits.  Only then,
+        before the repair, does the empty set get its own scan."""
+        G, n, colors = self.G, self.n, self.colors
+        if colors is None:
+            total = sum(b)
+        else:
+            side0, side1 = self.sides
+            total = sum(b[v] for v in side0)
+            other = sum(b[v] for v in side1)
+            if total != other:
+                # deleting the side of the smaller total isolates the
+                # other; one copy's flow could still fill every source
+                U = side0 if total < other else side1
+                return BMatchOutcome(witness=self._cut(b, U))
+        net, arcs = _double_cover(G, b, colors)
+        s = 2 * n
+        if net.two_layer_max_flow(s, s + 1) < total:
+            return BMatchOutcome(witness=self._cut(b, _cover_cut(G, net.residual_reachable(s))))
+        if colors is not None:
+            return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, map(net.edge_flow, arcs))))
         twice = [net.edge_flow(e1) + net.edge_flow(e2) for e1, e2 in arcs]
         y = [x // 2 for x in twice]
         if _round_circuits(G, twice, y) == 0:
@@ -619,8 +612,9 @@ def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
 
 def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     """Full interface: a verified plan when feasible, else a verified
-    violating set.  On a graph with an odd cycle the parity repair
-    expands at most 4m + n copies whatever b is, and the budgets of
-    expand_graph do not apply to it."""
+    violating set, from one max flow on the double cover of G (one copy
+    of it when G is bipartite).  On a graph with an odd cycle the parity
+    repair expands at most 4m + n copies whatever b is, and the budgets
+    of expand_graph do not apply to it."""
     tb = check_bvector(b, G.n)
     return BMatchEngine(G).outcome(tb)

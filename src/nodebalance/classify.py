@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .bmatch import ENUM_LIMIT, _double_cover, _neighbor_masks, _two_color
+from .bmatch import ENUM_LIMIT, _cover_cut, _double_cover, _neighbor_masks, _two_color
 from .core import Graph, Weights, _Value, check_weights
 from .errors import BudgetError, InstanceError, InternalError
 
@@ -147,15 +147,20 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
     N(X) would lie inside X and G would be disconnected.  Then U = N(S) is
     the witness: nonempty, and it isolates all of S.
 
-    X comes from the flow.  A short flow leaves the reachable left copies
-    X with N(X) among the reachable right copies, fewer than |X| of them;
-    X = V is ruled out because N(V) = V.  A full flow is a perfect
-    matching, and its residual arcs (u_L->v_R along every edge, v_R back
-    to its matched left copy) form the alternating digraph.  The strong
-    component found first has no residual arc leaving it, so the right
-    neighbors of its left copies X lie in it, each matched into X.  X is
-    nonempty (a right copy brings its matched left copy) and proper (X = V
-    would bring in every right copy, and then the whole digraph).
+    X comes from the flow and is already independent, so S = X and the
+    witness is U = N(X) (bmatch._cover_cut).  A short flow leaves the
+    reachable left copies X, with fewer than |X| right copies reachable;
+    _cover_cut argues that X is independent, and X = V is ruled out
+    because N(V) = V.  A full flow is a perfect matching, and its residual
+    arcs (u_L->v_R along every edge, v_R back to its matched left copy)
+    form the alternating digraph.  The strong component found first has
+    no residual arc leaving it, so its right copies are those of N(X),
+    for X its left copies, each matched into X.  X is nonempty (a right
+    copy brings its matched left copy) and proper (X = V would bring in
+    every right copy, and then the whole digraph).  By the count above
+    |N(S)| <= |S|, and the perfect matching makes it an equality, so the
+    copies of S and N(S) are closed under residual arcs; S is nonempty,
+    so they are the whole component and S = X.
     """
     if G.n <= 1:
         return UniversalVerdict(True)
@@ -163,18 +168,18 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         return UniversalVerdict(False, "disconnected")
     if G.n % 2 == 0:
         return UniversalVerdict(False, "even_order")
-    n = G.n
-    net, _ = _double_cover(G, (1,) * n)
-    if net.two_layer_max_flow(2 * n, 2 * n + 1) < n:
-        reach = net.residual_reachable(2 * n)
-        X = [v for v in range(n) if reach[v]]
+    s = 2 * G.n
+    net, _ = _double_cover(G, (1,) * G.n)
+    if net.two_layer_max_flow(s, s + 1) < G.n:
+        reach = net.residual_reachable(s)
     else:
-        comp = _sink_component(net.residual_graph(2 * n), 0)
-        if len(comp) == 2 * n:
+        comp = _sink_component(net.residual_graph(s), 0)
+        if len(comp) == s:
             return UniversalVerdict(True)
-        X = [v for v in comp if v < n]
-    S = set(X) - _neighborhood(G, X)
-    return UniversalVerdict(False, "isolated_condition", tuple(sorted(_neighborhood(G, S))))
+        reach = [False] * s
+        for v in comp:
+            reach[v] = True
+    return UniversalVerdict(False, "isolated_condition", tuple(_cover_cut(G, reach)))
 
 
 def _sink_component(succ: Sequence[Sequence[int]], root: int) -> list[int]:

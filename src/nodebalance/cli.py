@@ -168,6 +168,8 @@ def _plan_from_json(host: Host, doc) -> tuple[IncrementPlan, Optional[int]]:
     expected: Optional[int] = None
     if isinstance(doc, dict):
         expected = doc.get("beta")
+        if expected is not None and type(expected) is not int:
+            raise InstanceError(f"malformed target in plan file: {expected!r}")
         doc = doc.get("plan")
         if doc is None:
             raise InstanceError("plan file carries no plan (result was infeasible?)")
@@ -181,10 +183,11 @@ def _plan_from_json(host: Host, doc) -> tuple[IncrementPlan, Optional[int]]:
     for entry in doc:
         if not isinstance(entry, dict) or "edge" not in entry or "count" not in entry:
             raise InstanceError(f"malformed plan entry: {entry!r}")
+        # type() and not isinstance(): JSON true and false are bools, an int subclass
         members, count = entry["edge"], entry["count"]
-        if not isinstance(members, list) or not all(isinstance(v, int) for v in members):
+        if not isinstance(members, list) or not all(type(v) is int for v in members):
             raise InstanceError(f"malformed edge in plan entry: {entry!r}")
-        if not isinstance(count, int):
+        if type(count) is not int:
             raise InstanceError(f"malformed count in plan entry: {entry!r}")
         if isinstance(host, Graph):
             if len(members) != 2:
@@ -280,6 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # weights, targets and counts are exact at any size: lift the
+    # interpreter's int-string digit limit while the command runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -311,10 +311,11 @@ def is_uniform(w: Iterable[int]) -> int | None:
 
 
 def _parse_int(tok: str, what: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {tok!r}", line) from None
+    # ASCII [+-]?[0-9]+ only: int() would also take "1_0" and non-ASCII digits
+    digits = tok[1:] if tok[0] in "+-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} is not an integer: {tok!r}", line)
+    return int(tok)
 
 
 def parse_instance(text: str) -> tuple[Host, Weights]:

@@ -199,11 +199,20 @@ def hyper_equate(
     incidence system has a rational solution (see _rational_targets).
     When there is no such target at all, the answer is
     "no_rational_target", before any search.  Raises BudgetError above
-    MAX_EDGES hyperedges.
+    MAX_EDGES hyperedges, parallel ones included.
+
+    Hyperedges with equal member sets are merged before elimination and
+    search: copies add nothing a plan needs, only search width.  The plan
+    keys each set by its lowest index in H.
     """
     tw = check_weights(w, H.n)
     if H.m > MAX_EDGES:
         raise BudgetError("edge budget exceeded", edges=H.m, limit=MAX_EDGES)
+    first: dict[tuple[int, ...], int] = {}
+    for i, e in enumerate(H.edges):
+        first.setdefault(e, i)
+    merged = Hypergraph(H.n, list(first))
+    index = list(first.values())
     maxw = max(tw, default=0)
     cap = default_beta_cap(H, tw) if beta_cap is None else beta_cap
     if cap < maxw:
@@ -228,7 +237,7 @@ def hyper_equate(
     if total % d:
         # no integer target solves n*beta = sum(w) (mod g)
         return HyperEquateResult(cap, reason="divisibility")
-    pinned = _rational_targets(H, tw)
+    pinned = _rational_targets(merged, tw)
     if pinned == ():
         return HyperEquateResult(cap, reason="no_rational_target")
     step = g // d
@@ -241,8 +250,9 @@ def hyper_equate(
     if pinned is not None:
         targets = [b for b in pinned if b in targets]
     for beta in targets:
-        plan = _backtrack(H, tw, beta)
+        plan = _backtrack(merged, tw, beta)
         if plan is not None:
+            plan = IncrementPlan(tuple((index[i], c) for i, c in plan.items()))
             if _apply_plan(H, tw, plan) != (beta,) * H.n:
                 raise InternalError("backtracking plan failed replay check")
             return HyperEquateResult(cap, beta=beta, plan=plan)

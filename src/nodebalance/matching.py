@@ -3,10 +3,11 @@
 Maximum matching on general graphs (Edmonds' blossom algorithm, array
 based, breadth-first with deterministic scan order), bipartite matching
 by Kuhn's augmenting paths, and Dinic's max flow (Dinic 1970).  The
-b-matching engine builds on blossom and Dinic.  The classification
-module uses Kuhn's bipartite_matching for strict_hall's pairwise-deletion
-checks and Dinic, on the bipartite double cover, for
-universal_equatable.
+b-matching engine builds on blossom and Dinic, and Dinic runs on one
+kind of network only: the bipartite double cover of bmatch._double_cover,
+or one copy of it for a bipartite graph, which serves every engine probe
+and universal_equatable.  strict_hall's pairwise-deletion checks use
+Kuhn's bipartite_matching.
 
 The flow leaves exactly the residual capacities of the textbook method:
 a BFS levelling per phase, then recursive searches from s that each push
@@ -18,9 +19,9 @@ steps that cannot change them:
   instead of at s, since the recursion walks back down the same
   pointers to exactly there; the bottleneck is the minimum over the path
   alone, so a push costs the same at any capacity size;
-- on the engines' two-layer networks (s -> L -> R -> t) a greedy pass
-  over the paths in arc order pushes the first blocking flow, which is
-  what the first phase's search does there (Dinic.two_layer_max_flow).
+- on the double cover, a two-layer network (s -> L -> R -> t), a greedy
+  pass over the paths in arc order pushes the first blocking flow, which
+  is what the first phase's search does there (Dinic.two_layer_max_flow).
 The double-cover rounding and the parity repair downstream therefore see
 the same flow whichever of these steps run.
 """
@@ -337,7 +338,8 @@ class Dinic:
 
     def two_layer_max_flow(self, s: int, t: int) -> int:
         """max_flow on a network with no flow yet whose arcs all run
-        s -> L, L -> R or R -> t, with at most one arc R -> t per R node.
+        s -> L, L -> R or R -> t, with at most one arc R -> t per R node:
+        the double cover of bmatch._double_cover, whole or one copy.
 
         Dinic's first level graph there holds exactly the paths
         s -> a -> c -> t with residual capacity, and its depth-first

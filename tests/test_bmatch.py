@@ -27,7 +27,9 @@ from nodebalance import (
     violating_set,
 )
 from nodebalance import bmatch
-from nodebalance.bmatch import BMatchEngine, _round_circuits
+from nodebalance.bmatch import BMatchEngine, _cover_cut, _double_cover, _round_circuits
+from nodebalance.classify import _sink_component
+from nodebalance.matching import Dinic
 from support import (
     CHAIN_TOP,
     NEAR_OFFSET,
@@ -37,6 +39,7 @@ from support import (
     near_2p53_instance,
     path_graph,
     rand_connected,
+    rand_bipartite,
     rand_graph,
     triangle_chain,
 )
@@ -107,8 +110,6 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             check_tutte_enumeration(Graph(21, []), (0,) * 21)
-        # configurable limit
-        assert check_tutte_enumeration(Graph(21, []), (0,) * 21, limit=21) is None
 
 
 class TestExpandGraph:
@@ -332,6 +333,93 @@ def fractionally_feasible(G, b):
         net.add_edge(("L", u), ("R", v))
         net.add_edge(("L", v), ("R", u))
     return nx.maximum_flow_value(net, "s", "t") == sum(b)
+
+
+def neighbourhood(G, X) -> set:
+    return {u for v in X for u in G.neighbors(v)}
+
+
+def transport_reach(G, colors, b):
+    """(flow, residual reach of the source) of G's transportation network:
+    node v per vertex, source n to side 0, side 1 to sink n + 1, one arc
+    per edge, in the order the engine once built it before it flowed on
+    one copy of the double cover."""
+    n = G.n
+    net = Dinic(n + 2)
+    for v in range(n):
+        if colors[v] == 0:
+            net.add_edge(n, v, b[v])
+    for v in range(n):
+        if colors[v] == 1:
+            net.add_edge(v, n + 1, b[v])
+    for u, v in G.edges:
+        net.add_edge(*((v, u) if colors[u] else (u, v)), sum(b) + 1)
+    return net.max_flow(n, n + 1), net.residual_reachable(n)
+
+
+class TestCoverCut:
+    """_cover_cut against the rules it replaced, on short flows."""
+
+    def test_bipartite_one_copy_matches_the_transport_cut(self):
+        # old rule: U = N(reachable side-0 vertices) of the transport network
+        rng = random.Random(31)
+        short = 0
+        for _ in range(400):
+            a, c = rng.randint(1, 6), rng.randint(1, 6)
+            G, _ = rand_bipartite(rng, a, c, rng.choice((0.2, 0.4, 0.7)))
+            colors = bmatch._two_color(G)
+            b = tuple(rng.randint(0, 4) for _ in range(G.n))
+            flow, reach = transport_reach(G, colors, b)
+            if flow == sum(b[v] for v in range(G.n) if colors[v] == 0):
+                continue
+            net, _ = _double_cover(G, b, colors)
+            assert net.two_layer_max_flow(2 * G.n, 2 * G.n + 1) == flow
+            U = _cover_cut(G, net.residual_reachable(2 * G.n))
+            assert U == sorted(neighbourhood(G, [v for v in range(G.n) if not colors[v] and reach[v]]))
+            violating_set(G, U, b)
+            short += 1
+        assert short >= 150
+
+    def test_full_cover_matches_x_minus_its_neighbourhood(self):
+        # old rule: X = reachable left copies, U = N(X \ N(X)); unit
+        # demands are universal_equatable's, the others the engine's
+        rng = random.Random(37)
+        short = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(2, 10)
+            G = rand_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+            unit = rng.random() < 0.5
+            b = (1,) * n if unit else tuple(rng.randint(0, 4) for _ in range(n))
+            net, _ = _double_cover(G, b)
+            if net.two_layer_max_flow(2 * n, 2 * n + 1) == sum(b):
+                continue
+            reach = net.residual_reachable(2 * n)
+            X = [v for v in range(n) if reach[v]]
+            U = _cover_cut(G, reach)
+            assert U == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
+            violating_set(G, U, b)
+            short[unit] += 1
+        assert min(short.values()) >= 100
+
+    def test_sink_component_matches_x_minus_its_neighbourhood(self):
+        # universal_equatable's full-flow rule: X = left copies of the
+        # first strong component of the alternating digraph
+        rng = random.Random(41)
+        cut = 0
+        for _ in range(300):
+            G = rand_connected(rng, rng.choice((5, 7, 9)), rng.choice((0.1, 0.3)))
+            n = G.n
+            net, _ = _double_cover(G, (1,) * n)
+            if net.two_layer_max_flow(2 * n, 2 * n + 1) < n:
+                continue
+            comp = _sink_component(net.residual_graph(2 * n), 0)
+            if len(comp) == 2 * n:
+                continue
+            X = [v for v in comp if v < n]
+            inside = [v in comp for v in range(2 * n)]
+            assert _cover_cut(G, inside) == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
+            cut += 1
+        assert cut >= 50
 
 
 class TestGeneralEngine:

@@ -129,9 +129,9 @@ def test_decide_certificate_cuts_past_probe(case):
         assert _cuts_past(G, w, beta, parity)
 
 
-def test_decide_certificate_cuts_past_probe_larger_general():
-    # non-bipartite graphs above the enumeration cut-off take the
-    # remaining decide routes
+def test_decide_certificate_cuts_past_probe_larger_odd_cycle():
+    # graphs with an odd cycle, larger than the drawn cases, flow on the
+    # whole double cover and go on to its rounding and parity repair
     rng = random.Random(12)
     checked = 0
     while checked < 12:

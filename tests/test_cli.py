@@ -264,6 +264,31 @@ class TestNonBipartite:
         assert doc["beta"] == huge
         assert doc["plan"] == [{"edge": [0, 1], "count": huge}]
 
+    @pytest.mark.parametrize("k", [4300, 4301])
+    def test_equate_past_the_int_string_limit(self, capsys, tmp_path, k):
+        # K3 with weights (X, X, 0), X = 10^k - 1: beta = 2X, which has
+        # k + 1 digits.  Python's default limit of 4300 digits per int
+        # string would stop the JSON output at k = 4300 and the parse at
+        # k = 4301; the digits are built as text so this test needs no limit
+        nines = "9" * k
+        path = tmp_path / "k3.txt"
+        path.write_text(f"graph 3\ne 0 1\ne 1 2\ne 0 2\nw 0 {nines}\nw 1 {nines}\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        rc, out, err = run(capsys, "equate", str(path))
+        assert (rc, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        expected = json.dumps(
+            {
+                "equatable": True,
+                "beta": "BETA",
+                "plan": [{"edge": [0, 2], "count": "X"}, {"edge": [1, 2], "count": "X"}],
+                "certificate": None,
+            },
+            indent=2,
+        )
+        two_x = "1" + "9" * (k - 1) + "8"
+        assert out == expected.replace('"BETA"', two_x).replace('"X"', nines) + "\n"
+
     def test_equate_imports_no_scipy(self, tmp_path):
         # the Petersen graph: odd cycles and ten vertices
         petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
@@ -343,6 +368,20 @@ class TestVerify:
         res.write_text(out)
         rc, out, err = run(capsys, "verify", PUZZLE, "--plan", str(res))
         assert rc == 2 and out == "" and "no plan" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '[{"edge": [true, 2], "count": 1}]',  # would replay as edge (1, 2)
+            '[{"edge": [1, 2], "count": true}]',
+            '{"beta": true, "plan": [{"edge": [1, 2], "count": 1}]}',
+        ],
+    )
+    def test_json_booleans_rejected(self, capsys, tmp_path, doc):
+        plan = tmp_path / "plan.json"
+        plan.write_text(doc)
+        rc, out, err = run(capsys, "verify", K3_100, "--plan", str(plan))
+        assert rc == 2 and out == "" and "malformed" in err
 
     def test_wrong_plan_not_ok(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"

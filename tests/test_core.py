@@ -125,6 +125,13 @@ class TestParse:
             ("graph 2\nz 0 1\n", 2),
             ("graph -1\n", 1),
             ("graph x\n", 1),
+            ("graph 2\nw 0 1_0\n", 2),  # int() would read 10
+            ("graph 2\nw 1 \u0663\n", 2),  # Arabic-Indic three
+            ("graph 2\ne 0 \uff11\n", 2),  # fullwidth one
+            ("graph \u0662\n", 1),
+            ("graph 2\nw 0 +\n", 2),
+            ("graph 2\nw 0 --1\n", 2),
+            ("graph 3\nh 0 1 0x2\n", 2),
         ],
     )
     def test_malformed_lines(self, text, lineno):

@@ -447,7 +447,7 @@ class TestConstructOnce:
         assert BMatchEngine(G).colors is None
         w, _ = planned_weights(rng, G, 10**6)
         decides = count_calls(monkeypatch, BMatchEngine, "decide")
-        solves = count_calls(monkeypatch, BMatchEngine, "_general")
+        solves = count_calls(monkeypatch, BMatchEngine, "_solve")
         res = equate(G, w)
         assert res.feasible and apply_plan(G, w, res.plan) == (res.beta,) * G.n
         assert solves[0] == decides[0] >= 1

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -252,6 +253,29 @@ class TestEliminationRegressions:
         doc, end = json.JSONDecoder().raw_decode(out)
         assert out[end:].strip() == ""
         assert doc["certificate"] == {"type": "divisibility"}
+
+
+class TestParallelEdges:
+    def test_copies_cost_no_search(self):
+        # five copies of the triple once took over a second of backtracking
+        w = (2, 1, 3)
+        H = Hypergraph(3, [(0, 1, 2)] * 5 + [(0, 2), (1, 2)])
+        once = hyper_equate(Hypergraph(3, [(0, 1, 2), (0, 2), (1, 2)]), w)
+        start = time.perf_counter()
+        r = hyper_equate(H, w)
+        assert time.perf_counter() - start < 0.05
+        assert r.reason == once.reason == "beta_cap"
+
+    def test_plan_keys_the_lowest_copy(self):
+        # [DERIVED: x02 = beta - 1 and x01 = beta at vertex 1 force beta = 1]
+        H = Hypergraph(3, [(0, 2), (0, 1), (0, 1)])
+        r = hyper_equate(H, (0, 0, 1))
+        assert r.beta == 1 and r.plan.entries == ((1, 1),)
+        assert apply_plan(H, (0, 0, 1), r.plan) == (1, 1, 1)
+
+    def test_budget_counts_copies(self):
+        with pytest.raises(BudgetError):
+            hyper_equate(Hypergraph(2, [(0, 1)] * 17), (0, 1))
 
 
 class TestReduction:

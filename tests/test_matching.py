@@ -348,8 +348,8 @@ class TestDinic:
 
     def test_two_layer_networks_match_recursive_search(self):
         # the greedy first phase plus max_flow leaves the textbook caps on
-        # the engines' networks: double covers of any graph, transportation
-        # networks of bipartite ones, demands from 0 up to 10^30
+        # the engine's networks: double covers of any graph, one copy of
+        # the cover of bipartite ones, demands from 0 up to 10^30
         rng = random.Random(17)
         covers = transports = 0
         for i in range(300):
@@ -365,7 +365,8 @@ class TestDinic:
                 engine = BMatchEngine(G)
                 if engine.colors is None:
                     continue
-                net, _, s, t = engine._build_flow(b)
+                net, _ = _double_cover(G, b, engine.colors)
+                s, t = 2 * n, 2 * n + 1
                 transports += 1
             flow, caps = recursive_max_flow(net, s, t)
             assert net.two_layer_max_flow(s, t) == flow
