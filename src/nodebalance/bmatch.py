@@ -358,57 +358,53 @@ def _two_color(G: Graph) -> Optional[list[int]]:
     return color
 
 
-def _double_cover(
-    G: Graph, b: Sequence[int], colors: Optional[Sequence[int]] = None
-) -> tuple[matching.Dinic, list]:
-    """Flow network of the bipartite double cover, before any flow, and
-    the ids of its arcs per edge, in edge order.
+def _double_cover(G: Graph, colors: Optional[Sequence[int]] = None) -> matching.Dinic:
+    """The flow network of the bipartite double cover, as a topology for
+    matching.Dinic; a flow on it with capacities b is a b-matching.
 
     Node v is the left copy v_L and n + v the right copy v_R; the source
-    2n feeds each v_L and each v_R drains into the sink 2n + 1, both with
-    capacity b(v).  Every edge uv of G gives the arcs u_L->v_R and
-    v_L->u_R of capacity sum(b) + 1.  A max flow of value sum(b) is a
-    perfect b-matching of the cover, and halved, a half-integral perfect
-    b-matching of G.  The cover of a bipartite G is two disjoint copies
-    of G, so given its 2-coloring only one is built: v_L for side 0, v_R
-    for side 1 and one arc per edge.  Its max flow of value b(side 0) is
-    a perfect b-matching of G itself.
-
-    Every arc runs s -> v_L, u_L -> v_R or v_R -> t, so callers solve it
-    with Dinic.two_layer_max_flow, whose greedy first phase pushes what
-    Dinic's first blocking flow would."""
+    feeds each v_L and each v_R drains into the sink, both with capacity
+    b(v).  Edge j = uv gives the arcs 2j = u_L->v_R and 2j + 1 = v_L->u_R,
+    without capacity (Dinic argues that none is needed).  A max flow of
+    value sum(b) is a perfect b-matching of the cover, and halved, a
+    half-integral perfect b-matching of G.  The cover of a bipartite G is
+    two disjoint copies of G, so given its 2-coloring only one is built:
+    v_L for side 0, v_R for side 1, and arc j from the side-0 end of edge
+    j to the side-1 end.  Its max flow of value b(side 0) is a perfect
+    b-matching of G itself.  The arcs of each copy are listed in edge
+    order, which is the order the flow tries them in."""
     n = G.n
-    s, t = 2 * n, 2 * n + 1
-    net = matching.Dinic(2 * n + 2)
-    inf = sum(b) + 1
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
     if colors is None:
-        for v in range(n):
-            net.add_edge(s, v, b[v])
-            net.add_edge(n + v, t, b[v])
-        return net, [(net.add_edge(u, n + v, inf), net.add_edge(v, n + u, inf)) for u, v in G.edges]
-    for v in range(n):
-        if colors[v]:
-            net.add_edge(n + v, t, b[v])
-        else:
-            net.add_edge(s, v, b[v])
-    return net, [net.add_edge(u, n + v, inf) if colors[v] else net.add_edge(v, n + u, inf)
-                 for u, v in G.edges]
+        for j, (u, v) in enumerate(G.edges):
+            adj[u].append((2 * j, n + v))
+            adj[n + v].append((2 * j, u))
+            adj[v].append((2 * j + 1, n + u))
+            adj[n + u].append((2 * j + 1, v))
+        return matching.Dinic(range(n), adj, 2 * G.m)
+    for j, (u, v) in enumerate(G.edges):
+        if colors[u]:
+            u, v = v, u
+        adj[u].append((j, n + v))
+        adj[n + v].append((j, u))
+    return matching.Dinic([v for v in range(n) if not colors[v]], adj, G.m)
 
 
-def _cover_cut(G: Graph, reach: Sequence[bool]) -> list[int]:
-    """U = N(A), sorted, for A the vertices whose left copy is in reach.
+def _cover_cut(G: Graph, level: Sequence[int]) -> list[int]:
+    """U = N(A), sorted, for A the vertices v with level[v] >= 0.
 
-    After a short flow on _double_cover, reach is the source side of the
-    smallest min cut, of capacity b(L\\A) + b(B) for L the vertices with
-    a left copy and B the reachable right copies.  An arc u_L->v_R never
-    saturates and t is out of reach, so B is the set of right copies of
-    N(A).  A\\N(A) spans a cut no larger (its neighbours lie in N(A)\\A),
-    so A is stable, b(A) > b(N(A)), and U = N(A), which isolates A,
-    violates.  On one copy of a bipartite graph A is the reachable part
-    of side 0."""
+    After a short flow on _double_cover, the levels of Dinic's last BFS
+    mark the source side of the smallest min cut, of capacity
+    b(L\\A) + b(B) for L the vertices with a left copy, A those whose
+    left copy is reached and B the reached right copies.  A middle arc
+    u_L->v_R is always residual and t is out of reach, so B is the set of
+    right copies of N(A).  A\\N(A) spans a cut no larger (its neighbours
+    lie in N(A)\\A), so A is stable, b(A) > b(N(A)), and U = N(A), which
+    isolates A, violates.  On one copy of a bipartite graph A is the
+    reached part of side 0."""
     U: set[int] = set()
     for v in range(G.n):
-        if reach[v]:
+        if level[v] >= 0:
             U.update(G.neighbors(v))
     return sorted(U)
 
@@ -460,7 +456,8 @@ class BMatchEngine:
     equate's jumps from below through the targets do.  Every demand goes
     through one max flow on _double_cover, of one copy for a bipartite
     graph, and on a graph with an odd cycle on to the rounding and parity
-    repair of _solve.  The plan of the last demand a solve found feasible
+    repair of _solve; the network is built at the first flow and serves
+    every later one.  The plan of the last demand a solve found feasible
     is kept, so construct() on that demand does not solve it again.  The
     engine trusts its demand vectors: callers pass a tuple of n
     non-negative ints (the module's public functions validate before
@@ -474,6 +471,8 @@ class BMatchEngine:
             side0 = [v for v in range(G.n) if self.colors[v] == 0]
             side1 = [v for v in range(G.n) if self.colors[v] == 1]
             self.sides = (side0, side1)
+        # the flow network, built at the first flow
+        self._net: Optional[matching.Dinic] = None
         # (demand, plan) of the last feasible solve
         self._solved: Optional[tuple[Sequence[int], IncrementPlan]] = None
 
@@ -508,7 +507,7 @@ class BMatchEngine:
         b-matching x, which _round_circuits rounds to y with one unit
         missing at the start of each of its k odd circuits.  Only then,
         before the repair, does the empty set get its own scan."""
-        G, n, colors = self.G, self.n, self.colors
+        G, colors = self.G, self.colors
         if colors is None:
             total = sum(b)
         else:
@@ -520,13 +519,15 @@ class BMatchEngine:
                 # other; one copy's flow could still fill every source
                 U = side0 if total < other else side1
                 return BMatchOutcome(witness=self._cut(b, U))
-        net, arcs = _double_cover(G, b, colors)
-        s = 2 * n
-        if net.two_layer_max_flow(s, s + 1) < total:
-            return BMatchOutcome(witness=self._cut(b, _cover_cut(G, net.residual_reachable(s))))
+        net = self._net
+        if net is None:
+            net = self._net = _double_cover(G, colors)
+        if net.max_flow(b) < total:
+            return BMatchOutcome(witness=self._cut(b, _cover_cut(G, net.level)))
+        flow = net.flow
         if colors is not None:
-            return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, map(net.edge_flow, arcs))))
-        twice = [net.edge_flow(e1) + net.edge_flow(e2) for e1, e2 in arcs]
+            return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, flow)))
+        twice = [x + y for x, y in zip(flow[0::2], flow[1::2])]
         y = [x // 2 for x in twice]
         if _round_circuits(G, twice, y) == 0:
             return BMatchOutcome(plan=IncrementPlan._trusted(zip(G.edges, y)))

@@ -168,17 +168,17 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         return UniversalVerdict(False, "disconnected")
     if G.n % 2 == 0:
         return UniversalVerdict(False, "even_order")
-    s = 2 * G.n
-    net, _ = _double_cover(G, (1,) * G.n)
-    if net.two_layer_max_flow(s, s + 1) < G.n:
-        reach = net.residual_reachable(s)
+    net = _double_cover(G)
+    if net.max_flow((1,) * G.n) < G.n:
+        reach = net.level
     else:
-        comp = _sink_component(net.residual_graph(s), 0)
-        if len(comp) == s:
+        comp = _sink_component(net.residual_graph(), 0)
+        if len(comp) == 2 * G.n:
             return UniversalVerdict(True)
-        reach = [False] * s
+        reach = [-1] * G.n
         for v in comp:
-            reach[v] = True
+            if v < G.n:
+                reach[v] = 0
     return UniversalVerdict(False, "isolated_condition", tuple(_cover_cut(G, reach)))
 
 

@@ -28,6 +28,7 @@ from .core import (
     Hypergraph,
     IncrementPlan,
     Weights,
+    _ascii_int,
     apply_plan,
     is_uniform,
     parse_instance,
@@ -215,11 +216,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _int_flag(tok: str) -> int:
+    """argparse type of the integer flags: the instance format's ASCII
+    [+-]?[0-9]+ rule, so "1_0" and non-ASCII digits are usage errors."""
+    x = _ascii_int(tok)
+    if x is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {tok!r}")
+    return x
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
-        type=int,
+        type=_int_flag,
         default=None,
         help="reserved and ignored; all algorithms are deterministic",
     )
@@ -252,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "hyper-equate", parents=[common], help="bounded search for a hypergraph target"
     )
     p.add_argument("file")
-    p.add_argument("--beta-cap", type=int, default=None, help="largest target to try")
+    p.add_argument("--beta-cap", type=_int_flag, default=None, help="largest target to try")
     p.set_defaults(func=_cmd_hyper_equate)
 
     p = sub.add_parser(
@@ -271,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_oracle_min_beta)
     q = osub.add_parser("backtrack", parents=[common], help="exhaustive plan search at one target")
     q.add_argument("file")
-    q.add_argument("--beta", type=int, required=True)
+    q.add_argument("--beta", type=_int_flag, required=True)
     q.set_defaults(func=_cmd_oracle_backtrack)
 
     p = sub.add_parser("verify", parents=[common], help="replay a plan and check uniformity")

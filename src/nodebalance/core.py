@@ -310,12 +310,28 @@ def is_uniform(w: Iterable[int]) -> int | None:
     return tw[0] if all(x == tw[0] for x in tw) else None
 
 
-def _parse_int(tok: str, what: str, line: int) -> int:
-    # ASCII [+-]?[0-9]+ only: int() would also take "1_0" and non-ASCII digits
-    digits = tok[1:] if tok[0] in "+-" else tok
+def _ascii_int(tok: str) -> int | None:
+    """int(tok) if tok is ASCII [+-]?[0-9]+, else None: int() alone would
+    also take "1_0", non-ASCII digits and surrounding blanks.  Raises
+    ValueError past the interpreter's int-string digit limit."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
     if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"{what} is not an integer: {tok!r}", line)
+        return None
     return int(tok)
+
+
+def _parse_int(tok: str, what: str, line: int) -> int:
+    try:
+        x = _ascii_int(tok)
+    except ValueError:
+        raise ParseError(
+            f"{what} has {len(tok)} characters, past the interpreter's int-string "
+            "digit limit (sys.set_int_max_str_digits)",
+            line,
+        ) from None
+    if x is None:
+        raise ParseError(f"{what} is not an integer: {tok!r}", line)
+    return x
 
 
 def parse_instance(text: str) -> tuple[Host, Weights]:

@@ -9,21 +9,13 @@ or one copy of it for a bipartite graph, which serves every engine probe
 and universal_equatable.  strict_hall's pairwise-deletion checks use
 Kuhn's bipartite_matching.
 
-The flow leaves exactly the residual capacities of the textbook method:
-a BFS levelling per phase, then recursive searches from s that each push
-the bottleneck of one path along current-arc pointers.  It only skips
-steps that cannot change them:
-- the BFS stops once t has its level, since nothing levelled after t can
-  lie on a path of the level graph;
-- after a push the search resumes at the tail of the first saturated arc
-  instead of at s, since the recursion walks back down the same
-  pointers to exactly there; the bottleneck is the minimum over the path
-  alone, so a push costs the same at any capacity size;
-- on the double cover, a two-layer network (s -> L -> R -> t), a greedy
-  pass over the paths in arc order pushes the first blocking flow, which
-  is what the first phase's search does there (Dinic.two_layer_max_flow).
-The double-cover rounding and the parity repair downstream therefore see
-the same flow whichever of these steps run.
+That network has two layers, s -> L -> R -> t, and Dinic keeps it
+implicit: a fixed topology of per-copy arc lists, which BMatchEngine
+builds once for all of its probes, and per flow only the flows on the
+arcs between the copies and the residual capacities of the source and
+sink arcs.  It leaves exactly the flow of the textbook method on the
+explicit network, skipping only steps that cannot change it; its
+docstring argues both.
 """
 
 from __future__ import annotations
@@ -238,161 +230,225 @@ def left_deficient_set(adj_lr: Adjacency, ml: list[int], mr: list[int]) -> list[
     return sorted(in_x)
 
 
+
+
 class Dinic:
-    """Integer max flow by Dinic's method.  Edges are paired (id, id^1)
-    with the reverse edge holding the pushed flow as residual capacity.
-    Capacities are Python ints of any size."""
+    """Integer max flow by Dinic's method on the two-layer network of a
+    b-matching, s -> L -> R -> t, whose arcs are implicit.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Node a (0 <= a < n) is the left copy a_L, n + c the right copy c_R,
+    2n the source s and 2n + 1 the sink t.  The topology is fixed: lefts
+    lists, ascending, the vertices with a source arc s -> a_L; adj[a]
+    holds the (arc, n + c) pairs of the middle arcs a_L -> c_R, and
+    adj[n + c] the (arc, a) pairs of the same arcs at c_R, both in arc
+    order; every right copy drains into t by c_R -> t.
+    bmatch._double_cover builds it.
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
+    max_flow(b) gives s -> a_L and c_R -> t the capacities b(a) and b(c).
+    It leaves the flow on each middle arc in flow, the residual capacities
+    of s -> a_L and c_R -> t in rest[a] and rest[n + c], and, when the
+    flow is short of the source's capacity, the levels of its last,
+    failing BFS in level: level[v] >= 0 exactly for the nodes that the
+    residual graph reaches from s, the source side of the smallest min
+    cut.  Capacities are Python ints of any size.
 
-    def edge_flow(self, eid: int) -> int:
-        return self.cap[eid ^ 1]
+    A middle arc has no capacity.  The explicit network gave it
+    sum(b) + 1, and that never bound a step.  All flow into a_L enters by
+    s -> a_L and all flow out of c_R leaves by c_R -> t, so
+    f(a_L -> c_R) <= min(b(a), b(c)) <= sum(b)/2 (a != c, as G has no
+    loops), and the arc's residual capacity stays above sum(b)/2.  The
+    bottleneck of an augmenting path s -> a_L -> ... -> c_R -> t is at
+    most min(b(a), b(c)) <= sum(b)/2 when a != c; when a = c the path
+    turns back from some R copy by a reverse middle arc, whose residual
+    capacity is a flow, at most sum(b)/2.  So a middle arc is never the
+    bottleneck of a push and never saturates: it is always residual, and
+    every step below is a step on the explicit network.
 
-    def _bfs(self, s: int, t: int) -> bool:
+    The flow is that of the textbook method: a BFS levelling per phase,
+    then recursive searches from s that each push the bottleneck of one
+    path along current-arc pointers, over each node's arcs in the order
+    the explicit network listed them (at a_L its reverse source arc, never
+    admissible, then adj[a]; at c_R its sink arc, then adj[n + c]).  The
+    kernel skips only steps that cannot change it:
+    - the first phase is one greedy pass.  Its level graph holds exactly
+      the paths s -> a_L -> c_R -> t with residual capacity, and its
+      search takes them in arc order, each push saturating s -> a_L (the
+      search moves on to the next a) or c_R -> t (it moves on to the next
+      arc of a);
+    - a BFS stops once t has its level, since nothing levelled after t
+      can lie on a path of the level graph;
+    - after a push the search resumes at the tail of the first saturated
+      arc instead of at s, since the recursion walks back down the same
+      pointers to exactly there;
+    - no phase runs once every source arc is saturated, as no augmenting
+      path is left; level is then None.
+    The double-cover rounding and the parity repair downstream therefore
+    see the same flow whichever of these steps run."""
+
+    def __init__(self, lefts: Sequence[int], adj: Sequence[Sequence[tuple[int, int]]], arcs: int):
+        self.n = len(adj) // 2
+        self.lefts = lefts
+        self.adj = adj
+        self.arcs = arcs
+
+    def max_flow(self, b: Sequence[int]) -> int:
+        """Value of a maximum flow for the capacities b."""
+        adj = self.adj
+        self.rest = rest = [*b, *b]
+        self.flow = flow = [0] * self.arcs
+        full = total = 0
+        for a in self.lefts:
+            left = rest[a]
+            if not left:
+                continue
+            full += left
+            for arc, c in adj[a]:
+                d = rest[c]
+                if not d:
+                    continue
+                if d < left:
+                    flow[arc] = d
+                    rest[c] = 0
+                    left -= d
+                else:
+                    flow[arc] = left
+                    rest[c] = d - left
+                    left = 0
+                    break
+            total += rest[a] - left
+            rest[a] = left
+        while total < full:
+            if not self._bfs():
+                break
+            total += self._blocking_flow()
+        else:
+            self.level: Optional[list[int]] = None
+        return total
+
+    def _bfs(self) -> bool:
         """Level the nodes by residual distance from s, stopping as soon as
-        t gets its level: every node levelled later lies at t's distance or
-        beyond, so no path of the level graph passes it."""
-        head, to, cap = self.head, self.to, self.cap
-        self.level = level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
+        t gets its level."""
+        n, adj, rest, flow = self.n, self.adj, self.rest, self.flow
+        self.level = level = [-1] * (2 * n + 2)
+        level[2 * n] = 0
+        q = [a for a in self.lefts if rest[a]]
+        for a in q:
+            level[a] = 1
+        for v in q:
             d = level[v] + 1
-            for eid in head[v]:
-                u = to[eid]
-                if cap[eid] > 0 and level[u] == -1:
-                    level[u] = d
-                    if u == t:
-                        return True
-                    q.append(u)
+            if v < n:
+                for _, c in adj[v]:
+                    if level[c] < 0:
+                        level[c] = d
+                        q.append(c)
+                continue
+            if rest[v]:
+                level[-1] = d
+                return True
+            for arc, a in adj[v]:
+                if flow[arc] and level[a] < 0:
+                    level[a] = d
+                    q.append(a)
         return False
 
-    def _blocking_flow(self, s: int, t: int) -> int:
+    def _blocking_flow(self) -> int:
         """Push a blocking flow of the level graph and return its value.
 
-        Depth-first with an explicit stack and current-arc pointers it[v],
-        trying arcs in the order of the textbook recursion at any path
-        length.  After a push the search resumes at the tail of the first
-        saturated arc, where the recursion would return to; the path up to
-        there still has residual capacity.  A node that dead-ends leaves
-        the level graph, so no later path enters it."""
-        head, to, cap, level = self.head, self.to, self.cap, self.level
-        it = [0] * self.n
-        path: list[int] = []
-        flow = 0
+        Depth-first with an explicit stack and current-arc pointers it[v]:
+        into lefts at s, into adj[v] at a_L, and at c_R, 0 for the sink
+        arc and i > 0 for adj[v][i - 1].  path holds the nodes from s and
+        mids the middle arcs between them, mids[i] from path[i + 1] to
+        path[i + 2]: forward at even i, reverse at odd i.  A node that
+        dead-ends leaves the level graph, so no later path enters it."""
+        n, lefts, adj = self.n, self.lefts, self.adj
+        rest, flow, level = self.rest, self.flow, self.level
+        s = 2 * n
+        sink_level = level[-1]
+        it = [0] * (s + 1)
+        path = [s]
+        mids: list[int] = []
+        pushed = 0
         v = s
         while True:
-            if v == t:
-                pushed = min([cap[eid] for eid in path])
-                flow += pushed
-                cut = -1
-                for i, eid in enumerate(path):
-                    left = cap[eid] - pushed
-                    cap[eid] = left
-                    cap[eid ^ 1] += pushed
-                    if not left and cut < 0:
-                        cut = i
-                v = to[path[cut] ^ 1]
-                del path[cut:]
+            if v < n:
+                arcs = adj[v]
+                d = level[v] + 1
+                for i in range(it[v], len(arcs)):
+                    arc, c = arcs[i]
+                    if level[c] == d:
+                        it[v] = i
+                        mids.append(arc)
+                        path.append(c)
+                        v = c
+                        break
+                else:
+                    # dead end: retreat one arc and skip it at its tail
+                    level[v] = -1
+                    path.pop()
+                    v = path[-1]
+                    if v != s:
+                        mids.pop()
+                    it[v] += 1
                 continue
-            arcs = head[v]
-            i = it[v]
+            if v == s:
+                for i in range(it[s], len(lefts)):
+                    a = lefts[i]
+                    if rest[a] and level[a] == 1:
+                        it[s] = i
+                        path.append(a)
+                        v = a
+                        break
+                else:
+                    return pushed
+                continue
             d = level[v] + 1
-            while i < len(arcs):
-                eid = arcs[i]
-                if cap[eid] > 0 and level[to[eid]] == d:
-                    break
-                i += 1
-            else:
-                # dead end: retreat one arc and skip it at its tail
-                if not path:
-                    return flow
-                level[v] = -1
-                v = to[path.pop() ^ 1]
-                it[v] += 1
-                continue
-            it[v] = i
-            path.append(eid)
-            v = to[eid]
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            flow += self._blocking_flow(s, t)
-        return flow
-
-    def two_layer_max_flow(self, s: int, t: int) -> int:
-        """max_flow on a network with no flow yet whose arcs all run
-        s -> L, L -> R or R -> t, with at most one arc R -> t per R node:
-        the double cover of bmatch._double_cover, whole or one copy.
-
-        Dinic's first level graph there holds exactly the paths
-        s -> a -> c -> t with residual capacity, and its depth-first
-        search takes them in arc order: each push saturates s -> a (the
-        search moves on to the next a) or a -> c or c -> t (it moves on to
-        the next arc of a).  One greedy pass over the same paths in the
-        same order therefore pushes the same first blocking flow, without
-        the level graph, and max_flow finishes from there with the
-        residual capacities Dinic's method leaves at that point."""
-        head, to, cap = self.head, self.to, self.cap
-        sink = [-1] * self.n
-        for eid in head[t]:
-            sink[to[eid]] = eid ^ 1
-        flow = 0
-        for e1 in head[s]:
-            left = cap[e1]
-            if left <= 0:
-                continue
-            for e2 in head[to[e1]]:
-                e3 = sink[to[e2]]
-                if e3 < 0 or cap[e2] <= 0 or cap[e3] <= 0:
+            i = it[v]
+            if not i:
+                if rest[v] and d == sink_level:
+                    # push the bottleneck, then resume at the tail of the
+                    # first saturated arc: s -> a_L, a reverse arc, c_R -> t
+                    a = path[1]
+                    p = min(rest[a], rest[v])
+                    for arc in mids[1::2]:
+                        if flow[arc] < p:
+                            p = flow[arc]
+                    pushed += p
+                    rest[a] -= p
+                    rest[v] -= p
+                    keep = 0 if rest[a] else 1
+                    for j, arc in enumerate(mids):
+                        if j & 1:
+                            flow[arc] -= p
+                            if not (keep or flow[arc]):
+                                keep = j + 2
+                        else:
+                            flow[arc] += p
+                    if keep:
+                        del path[keep:]
+                        del mids[max(keep - 2, 0):]
+                        v = path[-1]
                     continue
-                pushed = min(left, cap[e2], cap[e3])
-                cap[e2] -= pushed
-                cap[e2 ^ 1] += pushed
-                cap[e3] -= pushed
-                cap[e3 ^ 1] += pushed
-                left -= pushed
-                if not left:
+                i = 1
+            arcs = adj[v]
+            for i in range(i - 1, len(arcs)):
+                arc, a = arcs[i]
+                if flow[arc] and level[a] == d:
+                    it[v] = i + 1
+                    mids.append(arc)
+                    path.append(a)
+                    v = a
                     break
-            pushed = cap[e1] - left
-            cap[e1] = left
-            cap[e1 ^ 1] += pushed
-            flow += pushed
-        return flow + self.max_flow(s, t)
+            else:
+                level[v] = -1
+                path.pop()
+                v = path[-1]
+                mids.pop()
+                it[v] += 1
 
-    def residual_reachable(self, s: int) -> list[bool]:
-        """Vertices reachable from s along positive residual edges; after
-        max_flow this is the source side of a minimum cut."""
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for eid in self.head[v]:
-                u = self.to[eid]
-                if self.cap[eid] > 0 and not seen[u]:
-                    seen[u] = True
-                    q.append(u)
-        return seen
-
-    def residual_graph(self, k: int) -> list[list[int]]:
-        """Successor lists of nodes 0..k-1 along positive residual edges,
-        leaving out the edges to nodes k and above."""
-        to, cap = self.to, self.cap
-        return [[to[e] for e in self.head[v] if cap[e] > 0 and to[e] < k] for v in range(k)]
+    def residual_graph(self) -> list[list[int]]:
+        """Successor lists of the copies, nodes 0..2n-1, along positive
+        residual arcs, leaving out the arcs to s and t."""
+        n, flow = self.n, self.flow
+        return [[c for _, c in arcs] for arcs in self.adj[:n]] + [
+            [a for arc, a in arcs if flow[arc]] for arcs in self.adj[n:]
+        ]

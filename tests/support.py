@@ -18,7 +18,7 @@ from nodebalance import (
     is_connected,
     is_uniform,
 )
-from nodebalance.bmatch import BMatchEngine
+from nodebalance.bmatch import BMatchEngine, _double_cover
 from nodebalance.equate import admissible_parities
 from nodebalance.hyper import HyperEquateResult, _backtrack, default_beta_cap
 
@@ -315,3 +315,136 @@ def hub_triangles(rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
     b = [2 * c + 1 + rng.choice((0, 0, -1, 1)) for _ in range(3 * t)]
     b += [rng.randint(0, 2 * t) for _ in hubs]
     return Graph(3 * t + len(hubs), edges), tuple(b)
+
+
+class ExplicitNetwork:
+    """A flow network with every arc listed: arc e runs to[e] with
+    residual capacity cap[e], its reverse is e ^ 1, and head[v] lists the
+    arcs leaving v in the order they were added."""
+
+    def __init__(self, nodes: int):
+        self.head: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_arc(self, u: int, v: int, cap: int) -> int:
+        e = len(self.to)
+        self.head[u].append(e)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(e + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return e
+
+
+def explicit_cover(G: Graph, b, colors=None):
+    """(network, arcs, ends): the bipartite double cover of G as an
+    explicit network, with the arcs added in the order bmatch built them
+    before its flow went implicit.  Node v is v_L, n + v is v_R, 2n the
+    source and 2n + 1 the sink; a source arc s -> v_L and a sink arc
+    v_R -> t of capacity b(v) per vertex, then per edge uv the arcs
+    u_L -> v_R and v_L -> u_R of capacity sum(b) + 1.  Given a 2-coloring
+    only one copy is built, as _double_cover does.  arcs[k] is the id of
+    the flow kernel's middle arc k, ends[x] the id of the source arc
+    (x < n) or sink arc (x = n + v) of the kernel's rest[x], or None."""
+    n = G.n
+    s, t = 2 * n, 2 * n + 1
+    net = ExplicitNetwork(2 * n + 2)
+    inf = sum(b) + 1
+    ends = [None] * (2 * n)
+    for v in range(n):
+        if colors is None or not colors[v]:
+            ends[v] = net.add_arc(s, v, b[v])
+        if colors is None or colors[v]:
+            ends[n + v] = net.add_arc(n + v, t, b[v])
+    arcs = []
+    for u, v in G.edges:
+        if colors is None:
+            arcs.append(net.add_arc(u, n + v, inf))
+            arcs.append(net.add_arc(v, n + u, inf))
+        else:
+            arcs.append(net.add_arc(u, n + v, inf) if colors[v] else net.add_arc(v, n + u, inf))
+    return net, arcs, ends
+
+
+def recursive_max_flow(net: ExplicitNetwork, s: int, t: int):
+    """(flow, residual caps) of the textbook Dinic method on a copy of the
+    network's capacities: a full BFS per phase, then recursive searches
+    from s, each pushing the bottleneck of one path through the
+    current-arc pointers."""
+    head, to, cap = net.head, net.to, list(net.cap)
+
+    def dfs(v, limit):
+        if v == t:
+            return limit
+        while it[v] < len(head[v]):
+            eid = head[v][it[v]]
+            u = to[eid]
+            if cap[eid] > 0 and level[u] == level[v] + 1:
+                got = dfs(u, cap[eid] if limit is None else min(limit, cap[eid]))
+                if got:
+                    cap[eid] -= got
+                    cap[eid ^ 1] += got
+                    return got
+            it[v] += 1
+        return 0
+
+    flow = 0
+    while True:
+        level = [-1] * len(head)
+        level[s] = 0
+        q = [s]
+        for v in q:
+            for eid in head[v]:
+                if cap[eid] > 0 and level[to[eid]] == -1:
+                    level[to[eid]] = level[v] + 1
+                    q.append(to[eid])
+        if level[t] == -1:
+            return flow, cap
+        it = [0] * len(head)
+        while True:
+            got = dfs(s, None)
+            if not got:
+                break
+            flow += got
+
+
+def residual_reach(net: ExplicitNetwork, cap, s: int) -> list[bool]:
+    """Nodes reachable from s along arcs of positive residual capacity."""
+    seen = [False] * len(net.head)
+    seen[s] = True
+    q = [s]
+    for v in q:
+        for e in net.head[v]:
+            if cap[e] > 0 and not seen[net.to[e]]:
+                seen[net.to[e]] = True
+                q.append(net.to[e])
+    return seen
+
+
+def assert_same_flow(G: Graph, b, colors=None):
+    """Run the flow kernel on _double_cover(G, colors) and check it against
+    the textbook method on the explicit cover: the flow value, every
+    middle arc's flow, the residuals of the source and sink arcs, the
+    min-cut reach and the residual graph.  Returns the kernel."""
+    n = G.n
+    s = 2 * n
+    net, arcs, ends = explicit_cover(G, b, colors)
+    flow, cap = recursive_max_flow(net, s, s + 1)
+    kernel = _double_cover(G, colors)
+    assert kernel.max_flow(b) == flow
+    assert kernel.flow == [cap[e ^ 1] for e in arcs]
+    assert [kernel.rest[x] for x, e in enumerate(ends) if e is not None] == [
+        cap[e] for e in ends if e is not None
+    ]
+    reach = residual_reach(net, cap, s)
+    if kernel.level is None:
+        # every source arc saturated: the residual graph reaches s alone
+        assert reach == [v == s for v in range(s + 2)]
+    else:
+        assert [x >= 0 for x in kernel.level] == reach
+    assert kernel.residual_graph() == [
+        [net.to[e] for e in net.head[v] if cap[e] > 0 and net.to[e] < s] for v in range(s)
+    ]
+    return kernel

@@ -27,12 +27,13 @@ from nodebalance import (
     violating_set,
 )
 from nodebalance import bmatch
-from nodebalance.bmatch import BMatchEngine, _cover_cut, _double_cover, _round_circuits
+from nodebalance.bmatch import BMatchEngine, _cover_cut, _round_circuits
 from nodebalance.classify import _sink_component
-from nodebalance.matching import Dinic
 from support import (
     CHAIN_TOP,
     NEAR_OFFSET,
+    ExplicitNetwork,
+    assert_same_flow,
     complete_graph,
     cycle_graph,
     hub_triangles,
@@ -41,6 +42,8 @@ from support import (
     rand_connected,
     rand_bipartite,
     rand_graph,
+    recursive_max_flow,
+    residual_reach,
     triangle_chain,
 )
 
@@ -345,20 +348,22 @@ def transport_reach(G, colors, b):
     per edge, in the order the engine once built it before it flowed on
     one copy of the double cover."""
     n = G.n
-    net = Dinic(n + 2)
+    net = ExplicitNetwork(n + 2)
     for v in range(n):
         if colors[v] == 0:
-            net.add_edge(n, v, b[v])
+            net.add_arc(n, v, b[v])
     for v in range(n):
         if colors[v] == 1:
-            net.add_edge(v, n + 1, b[v])
+            net.add_arc(v, n + 1, b[v])
     for u, v in G.edges:
-        net.add_edge(*((v, u) if colors[u] else (u, v)), sum(b) + 1)
-    return net.max_flow(n, n + 1), net.residual_reachable(n)
+        net.add_arc(*((v, u) if colors[u] else (u, v)), sum(b) + 1)
+    flow, cap = recursive_max_flow(net, n, n + 1)
+    return flow, residual_reach(net, cap, n)
 
 
 class TestCoverCut:
-    """_cover_cut against the rules it replaced, on short flows."""
+    """_cover_cut against the rules it replaced, on short flows that
+    assert_same_flow checks against the textbook method."""
 
     def test_bipartite_one_copy_matches_the_transport_cut(self):
         # old rule: U = N(reachable side-0 vertices) of the transport network
@@ -372,9 +377,9 @@ class TestCoverCut:
             flow, reach = transport_reach(G, colors, b)
             if flow == sum(b[v] for v in range(G.n) if colors[v] == 0):
                 continue
-            net, _ = _double_cover(G, b, colors)
-            assert net.two_layer_max_flow(2 * G.n, 2 * G.n + 1) == flow
-            U = _cover_cut(G, net.residual_reachable(2 * G.n))
+            net = assert_same_flow(G, b, colors)
+            assert sum(net.flow) == flow
+            U = _cover_cut(G, net.level)
             assert U == sorted(neighbourhood(G, [v for v in range(G.n) if not colors[v] and reach[v]]))
             violating_set(G, U, b)
             short += 1
@@ -390,12 +395,11 @@ class TestCoverCut:
             G = rand_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
             unit = rng.random() < 0.5
             b = (1,) * n if unit else tuple(rng.randint(0, 4) for _ in range(n))
-            net, _ = _double_cover(G, b)
-            if net.two_layer_max_flow(2 * n, 2 * n + 1) == sum(b):
+            net = assert_same_flow(G, b)
+            if sum(net.flow) == sum(b):
                 continue
-            reach = net.residual_reachable(2 * n)
-            X = [v for v in range(n) if reach[v]]
-            U = _cover_cut(G, reach)
+            X = [v for v in range(n) if net.level[v] >= 0]
+            U = _cover_cut(G, net.level)
             assert U == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
             violating_set(G, U, b)
             short[unit] += 1
@@ -409,14 +413,14 @@ class TestCoverCut:
         for _ in range(300):
             G = rand_connected(rng, rng.choice((5, 7, 9)), rng.choice((0.1, 0.3)))
             n = G.n
-            net, _ = _double_cover(G, (1,) * n)
-            if net.two_layer_max_flow(2 * n, 2 * n + 1) < n:
+            net = assert_same_flow(G, (1,) * n)
+            if sum(net.flow) < n:
                 continue
-            comp = _sink_component(net.residual_graph(2 * n), 0)
+            comp = _sink_component(net.residual_graph(), 0)
             if len(comp) == 2 * n:
                 continue
             X = [v for v in comp if v < n]
-            inside = [v in comp for v in range(2 * n)]
+            inside = [0 if v in comp else -1 for v in range(n)]
             assert _cover_cut(G, inside) == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
             cut += 1
         assert cut >= 50

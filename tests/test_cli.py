@@ -188,6 +188,21 @@ class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert run(capsys)[0] == 1
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "0x3", ""])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, value):
+        # the instance format's [+-]?[0-9]+ rule, on every integer flag
+        for argv in (
+            ("hyper-equate", K3_100, "--beta-cap", value),
+            ("oracle", "backtrack", K3_100, "--beta", value),
+            ("--seed", value, "equate", K3_100),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, "") and "not an integer" in err
+
+    def test_integer_flags_take_signs(self, capsys):
+        assert run(capsys, "hyper-equate", K3_100, "--beta-cap", "+3")[0] == 0
+        assert run(capsys, "equate", K3_100, "--seed", "-7")[0] == 0
+
     def test_budget_exit(self, capsys, tmp_path):
         lines = ["graph 21"]
         lines += [f"e {i} {i + 1}" for i in range(20)]

@@ -1,6 +1,7 @@
 """Data model, instance format, and plan replay."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,23 @@ class TestParse:
     def test_empty_text_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_past_the_int_string_digit_limit(self):
+        # under the default limit of 4300 digits a longer number is bad
+        # input like any other: ParseError with its line, not ValueError
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            _, w = parse_instance("graph 1\nw 0 " + "9" * 4300)
+            assert w == (10**4300 - 1,)
+            with pytest.raises(ParseError) as exc:
+                parse_instance("graph 1\nw 0 " + "9" * 4301)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert exc.value.line == 2 and "digit limit" in str(exc.value)
 
 
 class TestPlan:

@@ -518,7 +518,7 @@ class TestMetamorphic:
     """Above the oracles' reach: relabelling keeps (feasible, beta), and
     adding c to every weight moves beta by exactly c."""
 
-    @pytest.mark.parametrize("n", [50, 101, 200])
+    @pytest.mark.parametrize("n", [50, 101, 200, 1000])
     def test_relabel_and_shift(self, n):
         rng = random.Random(f"metamorphic:{n}")
         for planned in (True, False):
@@ -581,7 +581,7 @@ class TestExactAtAnySize:
         assert apply_plan(G, w, res.plan) == (HUGE,) * (2 * k)
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("n", [50, 101, 200])
+    @pytest.mark.parametrize("n", [50, 101, 200, 1000])
     @pytest.mark.parametrize("bipartite", [False, True], ids=["odd-cycle", "bipartite"])
     def test_huge_shift(self, n, bipartite):
         rng = random.Random(f"huge:{n}:{bipartite}")

@@ -5,9 +5,9 @@ import random
 import networkx as nx
 import pytest
 
-from nodebalance.bmatch import BMatchEngine, _double_cover
+from nodebalance.bmatch import BMatchEngine, _cover_cut, _double_cover
+from nodebalance.core import Graph
 from nodebalance.matching import (
-    Dinic,
     bipartite_matching,
     even_reachable,
     greedy_matching,
@@ -15,7 +15,14 @@ from nodebalance.matching import (
     matching_size,
     maximum_matching,
 )
-from support import complete_graph, cycle_graph, nx_graph, path_graph, rand_graph
+from support import (
+    assert_same_flow,
+    complete_graph,
+    cycle_graph,
+    nx_graph,
+    path_graph,
+    rand_graph,
+)
 
 
 def adj_of(G):
@@ -24,47 +31,6 @@ def adj_of(G):
 
 def nx_matching_size(G):
     return len(nx.max_weight_matching(nx_graph(G), maxcardinality=True))
-
-
-def recursive_max_flow(net, s, t):
-    """(flow, residual caps) of the textbook Dinic method on a copy of the
-    network: a full BFS per phase, then recursive searches from s, each
-    pushing the bottleneck of one path through the current-arc pointers."""
-    head, to, cap = net.head, net.to, list(net.cap)
-
-    def dfs(v, limit):
-        if v == t:
-            return limit
-        while it[v] < len(head[v]):
-            eid = head[v][it[v]]
-            u = to[eid]
-            if cap[eid] > 0 and level[u] == level[v] + 1:
-                got = dfs(u, cap[eid] if limit is None else min(limit, cap[eid]))
-                if got:
-                    cap[eid] -= got
-                    cap[eid ^ 1] += got
-                    return got
-            it[v] += 1
-        return 0
-
-    flow = 0
-    while True:
-        level = [-1] * len(head)
-        level[s] = 0
-        q = [s]
-        for v in q:
-            for eid in head[v]:
-                if cap[eid] > 0 and level[to[eid]] == -1:
-                    level[to[eid]] = level[v] + 1
-                    q.append(to[eid])
-        if level[t] == -1:
-            return flow, cap
-        it = [0] * len(head)
-        while True:
-            got = dfs(s, None)
-            if not got:
-                break
-            flow += got
 
 
 def full_array_matching(adj, start):
@@ -267,31 +233,26 @@ class TestBipartite:
 
 class TestDinic:
     def test_unit_path(self):
-        d = Dinic(3)
-        d.add_edge(0, 1, 1)
-        d.add_edge(1, 2, 1)
-        assert d.max_flow(0, 2) == 1
+        # one copy of K2: s -> 0_L -> 1_R -> t, all of capacity 1
+        net = _double_cover(path_graph(2), [0, 1])
+        assert net.max_flow((1, 1)) == 1
+        assert net.flow == [1] and net.rest == [0, 1, 1, 0]
 
     def test_classic_network(self):
-        # two parallel routes with a cross edge; max flow 2000 limited by arcs
-        d = Dinic(4)
-        d.add_edge(0, 1, 1000)
-        d.add_edge(0, 2, 1000)
-        d.add_edge(1, 3, 1000)
-        d.add_edge(2, 3, 1000)
-        d.add_edge(1, 2, 1)
-        assert d.max_flow(0, 3) == 2000
+        # two routes from 0_L; the greedy first phase fills 2_R from 0_L,
+        # so 1_L is stuck until a second phase reroutes 0_L to 3_R
+        G = Graph(4, [(0, 2), (0, 3), (1, 2)])
+        net = _double_cover(G, [0, 0, 1, 1])
+        assert net.max_flow((1000,) * 4) == 2000
+        assert net.flow == [0, 1000, 1000]
 
     def test_edge_flow_accounting(self):
-        d = Dinic(4)
-        e1 = d.add_edge(0, 1, 3)
-        e2 = d.add_edge(1, 2, 2)
-        d.add_edge(1, 3, 1)
-        d.add_edge(2, 3, 5)
-        total = d.max_flow(0, 3)
-        assert total == 3
-        assert d.edge_flow(e1) == 3
-        assert d.edge_flow(e2) == 2
+        # the full cover of the path 0-1-2: arcs 0_L->1_R, 1_L->0_R,
+        # 1_L->2_R, 2_L->1_R, taken greedily in arc order
+        net = _double_cover(path_graph(3))
+        assert net.max_flow((3, 5, 2)) == 10
+        assert net.flow == [3, 3, 2, 2]
+        assert net.rest == [0] * 6 and net.level is None
 
     def test_matches_bipartite_matching(self):
         rng = random.Random(6)
@@ -299,57 +260,67 @@ class TestDinic:
             a, b = rng.randint(1, 6), rng.randint(1, 6)
             adj = [[j for j in range(b) if rng.random() < 0.5] for _ in range(a)]
             ml, _ = bipartite_matching(adj, b)
-            d = Dinic(a + b + 2)
-            s, t = a + b, a + b + 1
-            for i in range(a):
-                d.add_edge(s, i, 1)
-            for j in range(b):
-                d.add_edge(a + j, t, 1)
-            for i in range(a):
-                for j in adj[i]:
-                    d.add_edge(i, a + j, 1)
-            assert d.max_flow(s, t) == sum(1 for x in ml if x != -1)
+            G = Graph(a + b, [(i, a + j) for i in range(a) for j in adj[i]])
+            net = _double_cover(G, [0] * a + [1] * b)
+            assert net.max_flow((1,) * (a + b)) == sum(1 for x in ml if x != -1)
 
     def test_residual_reachable_gives_min_cut(self):
-        d = Dinic(4)
-        d.add_edge(0, 1, 2)
-        d.add_edge(1, 2, 1)
-        d.add_edge(2, 3, 2)
-        assert d.max_flow(0, 3) == 1
-        seen = d.residual_reachable(0)
-        assert seen[0] and seen[1] and not seen[2] and not seen[3]
+        # one copy of the path 0-1-2 with 1_R of capacity 1: the levels of
+        # the failing BFS reach s, 0_L, 2_L and 1_R, and the cut is N({0, 2})
+        G = path_graph(3)
+        net = _double_cover(G, [0, 1, 0])
+        assert net.max_flow((2, 1, 2)) == 1
+        assert [v for v, x in enumerate(net.level) if x >= 0] == [0, 2, 4, 6]
+        assert _cover_cut(G, net.level) == [1]
 
     def test_long_augmenting_path(self):
-        # a 10^4-arc chain: the path is far deeper than Python's recursion limit
-        n = 10_000
-        d = Dinic(n)
-        for v in range(n - 1):
-            d.add_edge(v, v + 1, 2 + v % 3)
-        assert d.max_flow(0, n - 1) == 2
+        # left vertices L_1..L_{k-1} (ids 0..k-2) each take R_{i-1} first,
+        # so L_0 (id k-1) is stuck until a 2k-arc path shifts them all to
+        # R_i: far deeper than Python's recursion limit
+        k = 5000
+        edges = [(k - 1, k)] + [(i - 1, k + j) for i in range(1, k) for j in (i - 1, i)]
+        G = Graph(2 * k, edges)
+        net = _double_cover(G, [0] * k + [1] * k)
+        assert net.max_flow((1,) * (2 * k)) == k
+        assert [e for e, x in zip(G.edges, net.flow) if x] == sorted(
+            [(k - 1, k)] + [(i - 1, k + i) for i in range(1, k)]
+        )
 
     def test_same_flow_as_recursive_search(self):
-        # the kernel must leave exactly the residual capacities of the
-        # textbook method, whatever it skips on the way
+        # the kernel leaves exactly the textbook method's flow, cut and
+        # residual graph at extreme demands: one b_v larger than all the
+        # others together, all zero, around 10^30, and perfect b-matchings
+        # that the greedy first phase misses, so that later phases run
         rng = random.Random(13)
-        for _ in range(200):
-            n = rng.randint(2, 12)
-            arcs = [
-                (u, v, rng.randint(1, 5))
-                for u in range(n)
-                for v in range(n)
-                if u != v and rng.random() < 0.3
-            ]
-            net = Dinic(n)
-            for u, v, c in arcs:
-                net.add_edge(u, v, c)
-            flow, caps = recursive_max_flow(net, 0, n - 1)
-            assert net.max_flow(0, n - 1) == flow
-            assert net.cap == caps
+        seen = {"skewed": 0, "zero": 0, "huge": 0, "planned": 0}
+        for i in range(400):
+            n = rng.randint(1, 12)
+            G = rand_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+            kind = list(seen)[i % 4]
+            if kind == "skewed":
+                b = [rng.randint(0, 5) for _ in range(n)]
+                v = rng.randrange(n)
+                b[v] = sum(b) - b[v] + rng.randint(1, 10**6)
+            elif kind == "zero":
+                b = [0] * n
+            elif kind == "huge":
+                b = [10**30 + rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(n)]
+            else:
+                b = [0] * n
+                for u, v in G.edges:
+                    x = rng.choice((0, 1, 2, 10**30))
+                    b[u] += x
+                    b[v] += x
+            colors = BMatchEngine(G).colors if i % 8 < 4 else None
+            net = assert_same_flow(G, b, colors)
+            if kind == "zero":
+                assert net.flow == [0] * net.arcs and net.level is None
+            seen[kind] += 1
+        assert min(seen.values()) == 100
 
     def test_two_layer_networks_match_recursive_search(self):
-        # the greedy first phase plus max_flow leaves the textbook caps on
-        # the engine's networks: double covers of any graph, one copy of
-        # the cover of bipartite ones, demands from 0 up to 10^30
+        # double covers of any graph, one copy of the cover of bipartite
+        # ones, demands from 0 up to 10^30
         rng = random.Random(17)
         covers = transports = 0
         for i in range(300):
@@ -358,17 +329,12 @@ class TestDinic:
             top = rng.choice((0, 1, 3, 10**6, 10**30))
             b = tuple(rng.randint(0, top) if rng.random() < 0.8 else 0 for _ in range(n))
             if i % 2:
-                net, _ = _double_cover(G, b)
-                s, t = 2 * n, 2 * n + 1
+                assert_same_flow(G, b)
                 covers += 1
             else:
-                engine = BMatchEngine(G)
-                if engine.colors is None:
+                colors = BMatchEngine(G).colors
+                if colors is None:
                     continue
-                net, _ = _double_cover(G, b, engine.colors)
-                s, t = 2 * n, 2 * n + 1
+                assert_same_flow(G, b, colors)
                 transports += 1
-            flow, caps = recursive_max_flow(net, s, t)
-            assert net.two_layer_max_flow(s, t) == flow
-            assert net.cap == caps
         assert covers == 150 and transports >= 60
