@@ -1,5 +1,5 @@
-"""Perfect b-matching: decide existence, construct a solution, certify
-infeasibility.
+"""Perfect b-matching: one solve decides existence and returns either a
+solution or a certificate of infeasibility.
 
 A perfect b-matching assigns a non-negative integer multiplicity x_e to
 every edge so that the multiplicities around each vertex v sum to exactly
@@ -28,8 +28,9 @@ bipartite double cover per demand (Anstee 1987):
   Gallai-Edmonds decomposition gives the certificate;
 - a short flow, on either, gives the certificate by its min cut.
 
-Every witness is re-verified against the subset definition before being
-returned.
+BMatchEngine.decide answers each demand with one solve: the plan, which
+every feasible solve builds and which is replayed against b, or the
+witness, which is re-verified against the subset definition.
 """
 
 from __future__ import annotations
@@ -451,17 +452,16 @@ def _round_circuits(G: Graph, twice: Sequence[int], y: list[int]) -> int:
 
 class BMatchEngine:
     """Reusable per-graph solver.  Graph-only structure (the coloring, and
-    for bipartite graphs the sides) is computed once; decide() and
-    outcome() can then be called for many demand vectors, which is what
-    equate's jumps from below through the targets do.  Every demand goes
-    through one max flow on _double_cover, of one copy for a bipartite
-    graph, and on a graph with an odd cycle on to the rounding and parity
-    repair of _solve; the network is built at the first flow and serves
-    every later one.  The plan of the last demand a solve found feasible
-    is kept, so construct() on that demand does not solve it again.  The
-    engine trusts its demand vectors: callers pass a tuple of n
-    non-negative ints (the module's public functions validate before
-    calling it)."""
+    for bipartite graphs the sides) is computed once; decide() can then be
+    called for many demand vectors, which is what equate's jumps from
+    below through the targets do.  Every demand goes through one max flow
+    on _double_cover, of one copy for a bipartite graph, and on a graph
+    with an odd cycle on to the rounding and parity repair of _solve; the
+    network is built at the first flow and serves every later one.  The
+    network is the only thing kept between calls: no demand, plan or
+    certificate is.  The engine trusts its demand vectors: callers pass a
+    tuple of n non-negative ints (the module's public functions validate
+    before calling it)."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -473,21 +473,28 @@ class BMatchEngine:
             self.sides = (side0, side1)
         # the flow network, built at the first flow
         self._net: Optional[matching.Dinic] = None
-        # (demand, plan) of the last feasible solve
-        self._solved: Optional[tuple[Sequence[int], IncrementPlan]] = None
 
-    # ---- decision -------------------------------------------------
-
-    def decide(self, b: Sequence[int]) -> tuple[bool, Optional[ViolatingSet]]:
-        """(feasible, certificate).  The certificate is always verified
-        against the subset definition before being returned."""
-        if all(x == 0 for x in b):
-            return True, None
+    def decide(self, b: Sequence[int]) -> BMatchOutcome:
+        """The plan of b or its Tutte-set certificate, from one solve.
+        The plan is replayed against b here, and a certificate was
+        re-verified against the subset definition when it was taken; a
+        failure of either raises InternalError.  A zero demand has the
+        empty plan."""
+        if not any(b):
+            return BMatchOutcome(plan=IncrementPlan.empty())
         out = self._solve(b)
-        if out.plan is None:
-            return False, out.witness
-        self._solved = (b, out.plan)
-        return True, None
+        if out.plan is not None and not _plan_is_perfect(self.G, b, out.plan):
+            raise InternalError("constructed plan failed verification")
+        return out
+
+    def construct(self, b: Sequence[int]) -> IncrementPlan:
+        """The plan of decide(b), or InternalError when b is infeasible.
+        Nothing in the package calls it; bench/tracing.py traces it by
+        name."""
+        plan = self.decide(b).plan
+        if plan is None:
+            raise InternalError("construction disagrees with decision")
+        return plan
 
     def _cut(self, b: Sequence[int], U: Sequence[int]) -> ViolatingSet:
         # every cut the engine takes is re-verified here; U is sorted
@@ -581,34 +588,11 @@ class BMatchEngine:
                 return BMatchOutcome(witness=self._cut(b, U))
             y = [counts[e] for e in G.edges]
 
-    # ---- construction ---------------------------------------------
-
-    def construct(self, b: Sequence[int]) -> IncrementPlan:
-        """Build a plan for a demand vector already decided feasible: the
-        plan of the solve that decided it, or of a new solve when another
-        demand was solved since."""
-        if all(x == 0 for x in b):
-            return IncrementPlan.empty()
-        if self._solved is None or self._solved[0] != b:
-            if not self.decide(b)[0]:
-                raise InternalError("construction disagrees with decision")
-        return self._solved[1]
-
-    def outcome(self, b: Sequence[int]) -> BMatchOutcome:
-        feasible, vs = self.decide(b)
-        if not feasible:
-            return BMatchOutcome(witness=vs)
-        plan = self.construct(b)
-        if not _plan_is_perfect(self.G, b, plan):
-            raise InternalError("constructed plan failed verification")
-        return BMatchOutcome(plan=plan)
-
 
 def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
-    """Yes/no decision without constructing a plan.  Use BMatchEngine.decide
-    for the certificate, or perfect_bmatching for the full outcome."""
-    tb = check_bvector(b, G.n)
-    return BMatchEngine(G).decide(tb)[0]
+    """Whether a perfect b-matching exists: the feasible flag of
+    perfect_bmatching, whose solve builds and replays the plan anyway."""
+    return perfect_bmatching(G, b).feasible
 
 
 def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
@@ -616,6 +600,6 @@ def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     violating set, from one max flow on the double cover of G (one copy
     of it when G is bipartite).  On a graph with an odd cycle the parity
     repair expands at most 4m + n copies whatever b is, and the budgets
-    of expand_graph do not apply to it."""
+    of expand_graph do not apply to it.  One BMatchEngine.decide call."""
     tb = check_bvector(b, G.n)
-    return BMatchEngine(G).outcome(tb)
+    return BMatchEngine(G).decide(tb)

@@ -207,7 +207,7 @@ def _cmd_verify(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InstanceError(f"{args.plan}: invalid JSON: {exc}") from None
     plan, expected = _plan_from_json(host, doc)
     value = is_uniform(apply_plan(host, w, plan))
@@ -313,7 +313,7 @@ def _run(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, InstanceError, OSError) as exc:
+    except (ParseError, InstanceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetError as exc:

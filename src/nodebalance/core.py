@@ -96,7 +96,10 @@ class Graph(_Value):
         seen: set[Edge] = set()
         norm: list[Edge] = []
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InstanceError(f"edge {e!r} is not a pair of vertex ids") from None
             u = _as_int(u, "vertex id")
             v = _as_int(v, "vertex id")
             if not (0 <= u < n and 0 <= v < n):
@@ -213,14 +216,22 @@ class IncrementPlan(_Value):
             items = entries.items()
         else:
             items = entries
-        for key, count in items:
+        for entry in items:
+            try:
+                key, count = entry
+            except (TypeError, ValueError):
+                raise InstanceError(f"plan entry {entry!r} is not a (key, count) pair") from None
             count = _as_int(count, "plan multiplicity")
             if count < 0:
                 raise InstanceError(f"negative multiplicity for {key!r}")
             if count == 0:
                 continue
             if isinstance(key, tuple):
-                u, v = key
+                try:
+                    u, v = key
+                except ValueError:
+                    raise InstanceError(f"plan key {key!r} is not an edge pair") from None
+                u, v = _as_int(u, "vertex id"), _as_int(v, "vertex id")
                 key = (min(u, v), max(u, v))
             else:
                 key = _as_int(key, "hyperedge index")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .bmatch import BMatchEngine, ViolatingSet, _plan_is_perfect
+from .bmatch import BMatchEngine, ViolatingSet
 from .core import Graph, IncrementPlan, Weights, _Value, check_weights, is_uniform
 from .errors import InstanceError, InternalError
 
@@ -188,9 +188,11 @@ def _search(
     """Trusted body of min_beta_for_parity and equate: w validated, the
     parities admissible.  The jumps of all parities start at the aligned
     star bound and advance together, the lowest open probe first, so the
-    first feasible probe is the smallest feasible target of them all:
-    (beta, plan, {}).  When every parity ends infeasible: (None, None,
-    its last certificate per parity)."""
+    first feasible probe is the smallest feasible target of them all.
+    Each probe is one eng.decide, which returns the probe's replayed plan
+    or its verified certificate: (beta, plan, {}) at the first feasible
+    probe, and when every parity ends infeasible, (None, None, its last
+    certificate per parity)."""
     guard = eng.n * max(w)
     start = _star_bound(eng.G, w)
     probe = {p: _align_up(start, p) for p in parities}
@@ -198,13 +200,10 @@ def _search(
     while probe:
         parity = min(probe, key=probe.__getitem__)
         beta = probe[parity]
-        b = tuple(beta - x for x in w)
-        ok, cert = eng.decide(b)
-        if ok:
-            plan = eng.construct(b)
-            if not _plan_is_perfect(eng.G, b, plan):
-                raise InternalError("constructed plan failed verification")
-            return beta, plan, {}
+        out = eng.decide(tuple(beta - x for x in w))
+        if out.feasible:
+            return beta, out.plan, {}
+        cert = out.witness
         case = _classify(cert, w, parity)
         if case.kind == "at_least" and case.beta <= guard:
             # a violation at beta means s*beta < c for its constraint s*beta >= c

@@ -31,6 +31,7 @@ from .core import (
     IncrementPlan,
     Weights,
     _apply_plan,
+    _as_int,
     _Value,
     check_weights,
     is_uniform,
@@ -208,13 +209,13 @@ def hyper_equate(
     tw = check_weights(w, H.n)
     if H.m > MAX_EDGES:
         raise BudgetError("edge budget exceeded", edges=H.m, limit=MAX_EDGES)
-    first: dict[tuple[int, ...], int] = {}
+    lowest: dict[tuple[int, ...], int] = {}
     for i, e in enumerate(H.edges):
-        first.setdefault(e, i)
-    merged = Hypergraph(H.n, list(first))
-    index = list(first.values())
+        lowest.setdefault(e, i)
+    merged = Hypergraph(H.n, list(lowest))
+    index = list(lowest.values())
     maxw = max(tw, default=0)
-    cap = default_beta_cap(H, tw) if beta_cap is None else beta_cap
+    cap = default_beta_cap(H, tw) if beta_cap is None else _as_int(beta_cap, "beta cap")
     if cap < maxw:
         raise InstanceError(f"beta cap {cap} below max weight {maxw}")
     uni = is_uniform(tw)

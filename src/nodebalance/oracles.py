@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bmatch import ENUM_LIMIT, check_tutte_enumeration
-from .core import Graph, IncrementPlan, check_weights, is_uniform
+from .core import Graph, IncrementPlan, _as_int, check_weights, is_uniform
 from .equate import _parities
 from .errors import BudgetError, InstanceError
 
@@ -56,6 +56,7 @@ def equate_backtracking(G: Graph, w: Sequence[int], beta: int) -> Optional[Incre
     exceeds MAX_RANGE.
     """
     tw = check_weights(w, G.n)
+    beta = _as_int(beta, "target")
     if beta < max(tw, default=0):
         raise InstanceError(f"target {beta} below max weight")
     if G.m > MAX_EDGES:

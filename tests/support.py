@@ -96,7 +96,7 @@ def universal_by_probes(G: Graph) -> tuple[bool, str | None]:
         return False, "even_order"
     eng = BMatchEngine(G)
     for v in range(n):
-        if not eng.decide(tuple(2 * n if u == v else 2 * n + 1 for u in range(n)))[0]:
+        if not eng.decide(tuple(2 * n if u == v else 2 * n + 1 for u in range(n))).feasible:
             return False, "isolated_condition"
     return True, None
 

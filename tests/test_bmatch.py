@@ -11,7 +11,9 @@ from nodebalance import (
     BMatchOutcome,
     BudgetError,
     Graph,
+    IncrementPlan,
     InstanceError,
+    InternalError,
     apply_plan,
     check_tutte_enumeration,
     decide_perfect_bmatching,
@@ -153,8 +155,6 @@ class TestExpansionBackend:
 
 class TestVerify:
     def test_examples(self):
-        from nodebalance import IncrementPlan
-
         assert verify_plan_perfect(K2, (1, 1), IncrementPlan([((0, 1), 1)]))
         assert not verify_plan_perfect(K2, (1, 1), IncrementPlan.empty())
         allones = IncrementPlan([((0, 1), 1), ((1, 2), 1), ((0, 2), 1)])
@@ -195,21 +195,52 @@ class TestPerfectBMatching:
             BMatchOutcome(plan=ok.plan, witness=violating_set(P3, {1}, (1, 0, 1)))
 
 
+class TestEngineContract:
+    """decide is the one call per demand: a plan replayed against b or a
+    verified certificate, with nothing kept from one demand to the next."""
+
+    def test_plan_that_misses_b_raises(self, monkeypatch):
+        short = BMatchOutcome(plan=IncrementPlan([((0, 1), 1)]))
+        monkeypatch.setattr(BMatchEngine, "_solve", lambda self, b: short)
+        with pytest.raises(InternalError):
+            BMatchEngine(P3).decide((1, 2, 1))
+
+    def test_construct_is_the_plan_of_decide(self):
+        eng = BMatchEngine(cycle_graph(5))
+        assert eng.construct((2,) * 5) == eng.decide((2,) * 5).plan
+        assert not eng.decide((1, 0, 1, 0, 0)).feasible
+        with pytest.raises(InternalError):
+            eng.construct((1, 0, 1, 0, 0))
+
+    @pytest.mark.parametrize("G", [Graph(0), P3, K3, cycle_graph(5)])
+    def test_zero_demand_is_the_empty_plan(self, G):
+        out = BMatchEngine(G).decide((0,) * G.n)
+        assert out.feasible and out.plan == IncrementPlan.empty()
+
+    def test_answers_do_not_depend_on_order(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            G = rand_graph(rng, 7, 0.4)
+            demands = [tuple(rng.randint(0, 3) for _ in range(7)) for _ in range(6)]
+            fresh = [BMatchEngine(G).decide(b) for b in demands]
+            eng = BMatchEngine(G)
+            assert [eng.decide(b) for b in demands] == fresh
+            assert [eng.decide(b) for b in reversed(demands)] == fresh[::-1]
+
+
 class TestEngineAgreement:
     def check_one(self, G, b):
         enum = check_tutte_enumeration(G, b)
         eng = BMatchEngine(G)
-        ok, cert = eng.decide(b)
-        assert ok == (enum is None)
-        if not ok:
-            assert cert is not None
-            assert tutte_deficiency(G, cert.U, b) == cert.deficiency >= 1
-        out = eng.outcome(b)
-        assert out.feasible == ok
-        if ok:
+        out = eng.decide(b)
+        assert out.feasible == (enum is None)
+        if out.feasible:
             assert verify_plan_perfect(G, b, out.plan)
         else:
-            assert tutte_deficiency(G, out.witness.U, b) >= 1
+            cert = out.witness
+            assert tutte_deficiency(G, cert.U, b) == cert.deficiency >= 1
+        # the engine keeps nothing of a demand: a second call answers alike
+        assert eng.decide(b) == out
 
     def test_small_random(self):
         rng = random.Random(7)

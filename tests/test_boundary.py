@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nodebalance import (
     Graph,
+    Hypergraph,
     IncrementPlan,
     InstanceError,
     admissible_parities,
@@ -17,6 +18,8 @@ from nodebalance import (
     check_tutte_enumeration,
     constraint_bound,
     equate,
+    equate_backtracking,
+    hyper_equate,
     is_balanced,
     isolated_vertices,
     min_beta_for_parity,
@@ -78,12 +81,51 @@ def test_bad_subset_rejected(fn, bad):
         SUBSET_TAKERS[fn](BAD_SUBSETS[bad])
 
 
+# a bool would pass for 1, and "9" and 2.5 would escape as TypeError
+BAD_INTS = {"bool": True, "float": 2.5, "str": "9"}
+
+INT_TAKERS = {
+    "Graph": lambda x: Graph(x),
+    "Hypergraph": lambda x: Hypergraph(x),
+    "hyper_equate": lambda x: hyper_equate(Hypergraph(2, [(0, 1)]), (0, 1), beta_cap=x),
+    "equate_backtracking": lambda x: equate_backtracking(P3, (0, 1, 0), x),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INTS))
+@pytest.mark.parametrize("fn", sorted(INT_TAKERS))
+def test_bad_int_rejected(fn, bad):
+    with pytest.raises(InstanceError):
+        INT_TAKERS[fn](BAD_INTS[bad])
+
+
+# a graph edge, a graph plan key and a plan entry are pairs; a bare int
+# is a hyperedge index as a plan key, so only Graph takes one as a key
+NOT_PAIRS = {
+    "edge_triple": lambda: Graph(3, [(0, 1, 2)]),
+    "edge_single": lambda: Graph(3, [(0,)]),
+    "edge_int": lambda: Graph(3, [5]),
+    "plan_key_triple": lambda: IncrementPlan([((0, 1, 2), 1)]),
+    "plan_key_single": lambda: IncrementPlan([((0,), 1)]),
+    "plan_key_not_ints": lambda: IncrementPlan([((0, "1"), 1)]),
+    "plan_entry_int": lambda: IncrementPlan([5]),
+    "plan_entry_single": lambda: IncrementPlan([((0, 1),)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_PAIRS))
+def test_not_a_pair_rejected(case):
+    with pytest.raises(InstanceError):
+        NOT_PAIRS[case]()
+
+
 def _cuts_past(G, w, beta, parity):
     """True when decide at beta is feasible, or its certificate's
     constraint on beta excludes beta and everything on one side of it."""
-    ok, cert = BMatchEngine(G).decide(tuple(beta - x for x in w))
-    if ok:
+    out = BMatchEngine(G).decide(tuple(beta - x for x in w))
+    if out.feasible:
         return True
+    cert = out.witness
     case = constraint_bound(
         len(cert.U),
         len(cert.isolated),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -218,6 +219,15 @@ class TestExitCodes:
         rc, out, err = run(capsys, "equate", str(bad))
         assert rc == 2 and out == "" and "line 2" in err
 
+    def test_undecodable_files(self, capsys, tmp_path):
+        # bytes that are not UTF-8, in an instance or a plan file
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"graph 2\ne 0 1\nw 0 \xff\n")
+        rc, out, err = run(capsys, "equate", str(bad))
+        assert rc == 2 and out == "" and "utf-8" in err
+        rc, out, err = run(capsys, "verify", K3_100, "--plan", str(bad))
+        assert rc == 2 and out == "" and "utf-8" in err
+
     def test_internal_error_exit(self, capsys, tmp_path, monkeypatch):
         # the path 0-1-2 with w = (0, 1, 0) is infeasible at its first
         # probe, so the engine takes a cut, which no longer re-verifies
@@ -398,6 +408,12 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", K3_100, "--plan", str(plan))
         assert rc == 2 and out == "" and "malformed" in err
 
+    def test_deeply_nested_plan(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(capsys, "verify", K3_100, "--plan", str(plan))
+        assert rc == 2 and out == "" and "invalid JSON" in err
+
     def test_wrong_plan_not_ok(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text('[{"edge": [0, 1], "count": 3}]')
@@ -423,3 +439,93 @@ class TestReduce:
         rc, out, _ = run(capsys, "reduce", K3_100, "-o", str(out_path))
         assert rc == 0
         assert json.loads(out)["n"] == 6
+
+
+# tokens for the numbers of a fuzzed file: plain, signed, padded, past
+# 2^63, and the ones the ASCII rule rejects
+FUZZ_NUMBERS = ["0", "1", "2", "3", "+2", "007", "-1", "1_0", "٣", "３", "0x3", "1.5",
+                "²", str(2**63), str(2**63 + 1), str(2**64 + 7), str(10**30)]
+FUZZ_LINES = ["graph 3", "e 1", "w 0", "x 1 2", "# comment", "", "  e 0 1  ", "e 0 1 2",
+              "h", "w 0 1 2", "graph", "e a b", "h 0 0", "w -1 2"]
+FUZZ_PLANS = [
+    b"[]", b'{"plan": null}', b'{"beta": 1}', b"not json", b'"plan"', b"[[0, 1]]",
+    b'[{"edge": [0, 1]}]', b'[{"edge": [0, 1, 2], "count": 1}]', b'[{"edge": [], "count": 1}]',
+    b'[{"edge": [0, 1], "count": -1}]', b'[{"edge": [0, 1], "count": 1.5}]',
+    b'[{"edge": [0, 1], "count": 1e400}]', b'[{"edge": [0, 0], "count": 1}]',
+    b'[{"edge": [5, 9], "count": 2}]', b'{"beta": "3", "plan": []}',
+    b'[{"edge": [0, 1], "count": 18446744073709551617}]', b'{"plan": {"edge": [0, 1]}}',
+    b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe[]",
+]
+
+
+def fuzz_argv(rng, tmp_path):
+    """One seeded CLI call on a small, often malformed instance file: at
+    most 6 vertices and 8 edges or hyperedges, headers that stay small
+    (a large vertex count is allocated before anything is checked), and
+    weights past 2^63 only where no oracle scans the targets."""
+    n = rng.randint(0, 6)
+    hyper = rng.random() < 0.25
+    small = rng.random() < 0.6
+
+    def number():
+        if rng.random() < 0.04:
+            return rng.choice(FUZZ_NUMBERS)
+        return str(rng.randint(0, 3) if small else rng.choice((0, 5, 2**63 + 1, 10**30)))
+
+    members = []
+    for _ in range(rng.randint(0, 8) if n >= 2 else 0):
+        e = sorted(rng.sample(range(n), rng.randint(1, min(3, n)) if hyper else 2))
+        if rng.random() < 0.05:
+            e[0] = rng.choice((-1, n, n + 5, e[-1]))  # out of range or repeated
+        if e not in members or rng.random() < 0.03:
+            members.append(e)
+    body = [("h " if hyper else "e ") + " ".join(map(str, e)) for e in members]
+    body += [f"w {v} {number()}" for v in range(n) if rng.random() < 0.6]
+    for _ in range(rng.choice((0,) * 6 + (1, 2))):
+        bad = rng.choice(FUZZ_LINES) if rng.random() < 0.7 else f"w 0 {rng.choice(FUZZ_NUMBERS)}"
+        body.insert(rng.randint(0, len(body)), bad)
+    header = f"graph {n}" if rng.random() < 0.95 else rng.choice(
+        ("graph -1", "graph two", "graph 3 4", "grph 3", "graph 1_0", "graph ٣", ""))
+    data = "\n".join([header] + body).encode()
+    if rng.random() < 0.03:
+        data += b"\nw 0 \xff\n"
+    path = tmp_path / "instance.txt"
+    path.write_bytes(data)
+    cmd = rng.choice(["equate", "classify", "bipartite", "hyper-equate", "reduce", "verify",
+                      "backtrack"] + ["min-beta"] * small)
+    if cmd == "hyper-equate":
+        return [cmd, str(path), "--beta-cap", str(rng.randint(0, 20))]
+    if cmd == "reduce":
+        return [cmd, str(path), "-o", str(tmp_path / "reduced.txt")]
+    if cmd == "verify":
+        plan = rng.choice(FUZZ_PLANS)
+        if members and rng.random() < 0.7:
+            steps = [{"edge": e, "count": rng.randint(0, 3)} for e in members]
+            plan = json.dumps(rng.choice((steps, {"beta": rng.randint(0, 9), "plan": steps})))
+            plan = plan.encode()
+        (tmp_path / "plan.json").write_bytes(plan)
+        return [cmd, str(path), "--plan", str(tmp_path / "plan.json")]
+    if cmd == "backtrack":
+        return ["oracle", cmd, str(path), "--beta", str(rng.randint(0, 15))]
+    if cmd == "min-beta":
+        return ["oracle", cmd, str(path)]
+    return [cmd, str(path)]
+
+
+class TestFuzz:
+    def test_seeded_files_keep_the_cli_contract(self, capfd, tmp_path):
+        # every call ends in exit 0 and one JSON document on stdout, or in
+        # exit 2 or 3, one error line and nothing on stdout; no exception
+        # escapes
+        codes = {0: 0, 2: 0, 3: 0}
+        for seed in range(200):
+            argv = fuzz_argv(random.Random(f"cli-fuzz:{seed}"), tmp_path)
+            rc = main(argv)
+            out, err = capfd.readouterr()
+            assert rc in codes, (seed, argv, rc, err)
+            codes[rc] += 1
+            if rc:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", (seed, argv)
+        assert min(codes.values()) >= 1 and min(codes[0], codes[2]) >= 50, codes

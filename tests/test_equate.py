@@ -470,13 +470,16 @@ class TestParityInterleave:
     def test_no_probe_above_the_answer(self, monkeypatch):
         # with both parities admissible, the lower open probe goes first, so
         # the first feasible probe is the answer and nothing is probed past
-        # it; the result is the one of two separate per-parity searches
+        # it; the result is the one of two separate per-parity searches.
+        # The probe that finds the answer also returns its plan, so no
+        # other probe returns one and construct never runs
         probes = []
         decide = BMatchEngine.decide
 
         def recording(self, b):
-            probes.append(b)
-            return decide(self, b)
+            out = decide(self, b)
+            probes.append((b, out.feasible))
+            return out
 
         monkeypatch.setattr(BMatchEngine, "decide", recording)
         constructs = count_calls(monkeypatch, BMatchEngine, "construct")
@@ -495,20 +498,20 @@ class TestParityInterleave:
             if len(admissible_parities(G, w)) != 2 or is_uniform(w) is not None:
                 continue
             probes.clear()
-            constructs[0] = 0
             res = equate(G, w)
-            targets = [b[0] + w[0] for b in probes]
-            made = constructs[0]
+            targets = [b[0] + w[0] for b, _ in probes]
+            planned = sum(ok for _, ok in probes)
+            assert constructs[0] == 0
             outs = {p: min_beta_for_parity(G, w, p) for p in PARITIES}
             found = [(o.beta, p) for p, o in outs.items() if o.beta is not None]
             if res.feasible:
                 feasible += 1
-                assert max(targets) == res.beta and made == 1
+                assert max(targets) == res.beta and planned == 1
                 beta, parity = min(found)
                 assert (res.beta, res.plan) == (beta, outs[parity].plan)
             else:
                 infeasible += 1
-                assert not found and made == 0
+                assert not found and planned == 0
                 assert res.certificates == {p: o.certificate for p, o in outs.items()}
                 assert list(res.certificates) == list(PARITIES)
         assert feasible >= 30 and infeasible >= 8
