@@ -13,7 +13,9 @@ pass over its residual arcs decide it and give a witness U.
 A bipartite graph with a fixed bipartition admits equalization from every
 *balanced* assignment (equal side totals) exactly when it satisfies the
 strict Hall condition: |N(X)| > |X| for every nonempty X properly
-contained in one side; it is checked by pairwise-deletion matchings.
+contained in one side.  It holds iff deleting any vertex pair, one from
+each side, leaves a perfect matching; one matching of the graph,
+repaired by augmenting paths in each pair's graph, checks every pair.
 Definitional enumerations of both conditions are kept as references.
 """
 
@@ -293,12 +295,31 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     """Strict Hall condition via pairwise deletion.
 
     For equal sides of size k >= 2, the condition holds iff for every
-    pair (u in L, v in R) the graph minus {u, v} has a perfect matching;
-    each pair is checked with an augmenting-path matching, and a failing
-    pair yields a deficient set that maps back to a witness in G.  Sides
-    of unequal size fail outright (with a canonical witness) unless too
-    small to contain a proper nonempty subset, in which case the
+    pair (u in L, v in R) the graph G - u - v has a perfect matching.
+    Sides of unequal size fail outright (with a canonical witness) unless
+    too small to contain a proper nonempty subset, in which case the
     condition holds vacuously.
+
+    One Kuhn matching M of G serves every pair.  For a pair, M without
+    the edges at u and v is a matching of G - u - v; Kuhn's augment runs
+    from each of its exposed left vertices other than u, with v marked
+    seen so that no path enters it (nor u, which no matched edge leads
+    to), and the pair passes iff every augment succeeds.  Two textbook
+    facts make this exact and keep the witness of the from-scratch check:
+    - Kuhn's augmenting paths reach a maximum matching from any starting
+      matching (Kuhn 1955).  An augment that fails from x certifies that
+      no perfect matching exists: x is exposed, and with a perfect
+      matching P the component of x in the symmetric difference with P
+      would be an augmenting path from x.
+    - The left vertices that alternating paths reach from the exposed
+      ones are the same for every maximum matching (Lovasz and Plummer,
+      Matching Theory, section 3.2; Gallai-Edmonds, Dulmage-Mendelsohn).
+    Pairs are scanned u-major, both sides ascending, and whether a pair
+    passes depends on G - u - v alone, so the first failing pair does not
+    depend on how the pairs are decided.  Its witness is
+    matching.left_deficient_set on a maximum matching of G - u - v built
+    from scratch; by the second fact it is the same set whichever maximum
+    matching it is read from.
     """
     part.validate_for(G)
     L, R = part.left, part.right
@@ -309,23 +330,44 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     k = len(L)
     if k <= 1:
         return HallVerdict(True)
-    for u in L:
-        lefts = [x for x in L if x != u]
-        for v in R:
-            rights = [y for y in R if y != v]
-            rpos = {y: i for i, y in enumerate(rights)}
-            adj = [
-                [rpos[y] for y in G.neighbors(x) if y != v] for x in lefts
-            ]
-            ml, mr = matching.bipartite_matching(adj, k - 1)
-            if all(j != -1 for j in ml):
-                continue
-            # the deficient set X is nonempty and inside L minus u, so
-            # |X| < k, and |N(X)| < |X| in G - u - v; deleting v hid at
-            # most one neighbor, so |N(X)| <= |X| in G
-            deficient = matching.left_deficient_set(adj, ml, mr)
-            return HallVerdict(False, tuple(lefts[i] for i in deficient))
+    rpos = {y: j for j, y in enumerate(R)}
+    adj = [[rpos[y] for y in G.neighbors(x)] for x in L]
+    ml, mr = matching.bipartite_matching(adj, k)
+    exposed = [i for i, j in enumerate(ml) if j == -1]
+    augment = matching.kuhn_augment
+    for u in range(k):
+        rest = [i for i in exposed if i != u]
+        for v in range(k):
+            pl, pr = ml[:], mr[:]
+            j = pl[u]
+            if j != -1:
+                pl[u] = pr[j] = -1
+            todo = rest
+            i = pr[v]
+            if i != -1:
+                pl[i] = pr[v] = -1
+                todo = rest + [i]
+            for i in todo:
+                seen = [False] * k
+                seen[v] = True
+                if not augment(adj, pl, pr, i, seen):
+                    return _pair_witness(G, L, R, L[u], R[v])
     return HallVerdict(True)
+
+
+def _pair_witness(G: Graph, L: Sequence[int], R: Sequence[int], u: int, v: int) -> HallVerdict:
+    """Hall witness of G from a pair (u, v) whose G - u - v has no perfect
+    matching: the deficient set of a maximum matching of G - u - v."""
+    lefts = [x for x in L if x != u]
+    rights = [y for y in R if y != v]
+    rpos = {y: i for i, y in enumerate(rights)}
+    adj = [[rpos[y] for y in G.neighbors(x) if y != v] for x in lefts]
+    ml, mr = matching.bipartite_matching(adj, len(rights))
+    # the deficient set X is nonempty and inside L minus u, so |X| < k,
+    # and |N(X)| < |X| in G - u - v; deleting v hid at most one neighbor,
+    # so |N(X)| <= |X| in G
+    deficient = matching.left_deficient_set(adj, ml, mr)
+    return HallVerdict(False, tuple(lefts[i] for i in deficient))
 
 
 def strict_hall_enum(G: Graph, part: Bipartition) -> HallVerdict:

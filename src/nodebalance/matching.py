@@ -6,8 +6,9 @@ by Kuhn's augmenting paths, and Dinic's max flow (Dinic 1970).  The
 b-matching engine builds on blossom and Dinic, and Dinic runs on one
 kind of network only: the bipartite double cover of bmatch._double_cover,
 or one copy of it for a bipartite graph, which serves every engine probe
-and universal_equatable.  strict_hall's pairwise-deletion checks use
-Kuhn's bipartite_matching.
+and universal_equatable.  strict_hall builds one matching with Kuhn's
+bipartite_matching and repairs a copy of it for each vertex pair with
+the same augment, kuhn_augment.
 
 That network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine
@@ -93,12 +94,29 @@ class _BlossomSearch:
             v = self.p[self.match[v]]
 
     def find_from(self, root: int) -> int:
+        """Grow the tree from root; the far end of an augmenting path, or -1.
+
+        A contraction through curbase relabels the members of the bases in
+        blossom and enqueues the odd ones among them, in ascending order.
+        The textbook search scans all n vertices for those whose base lies
+        in blossom.  Bases are tree vertices, and only tree vertices have a
+        base other than themselves, so that scan finds exactly the members
+        of those bases.  Members of curbase keep their base and are even
+        already, so the scan changes nothing at them.  Taking the members
+        of the other bases, sorted, therefore relabels the same set and
+        enqueues the same vertices in the same order, and the search and
+        its matching stay those of the full scan, at a cost per contraction
+        of the blossom's members rather than of the whole tree.
+        """
         match, base, p, used = self.match, self.base, self.p, self.used
         for v in self.tree:
             p[v] = -1
             base[v] = v
             used[v] = False
         self.tree = tree = [root]
+        # members[b] lists the tree vertices whose base is b, for each b
+        # that has absorbed a blossom; any other tree vertex is its own base
+        members: dict[int, list[int]] = {}
         used[root] = True
         q = deque([root])
         while q:
@@ -107,19 +125,23 @@ class _BlossomSearch:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # even-even edge: contract the blossom through the lca.
-                    # Only tree vertices can lie in it, and they are taken
-                    # in ascending order, as a scan over all n would.
+                    # even-even edge: contract the blossom through the lca,
+                    # relabelling the members of its other bases
                     curbase = self._lca(v, to)
                     blossom: set[int] = set()
                     self._mark_path(v, curbase, to, blossom)
                     self._mark_path(to, curbase, v, blossom)
-                    for i in sorted(tree):
-                        if base[i] in blossom:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    blossom.discard(curbase)
+                    moved: list[int] = []
+                    for b in blossom:
+                        moved += members.pop(b, (b,))
+                    members.setdefault(curbase, [curbase]).extend(moved)
+                    moved.sort()
+                    for i in moved:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
                 elif p[to] == -1:
                     # to is outside the tree: a tree vertex is the root,
                     # an odd vertex (p set) or the partner of one
@@ -180,6 +202,25 @@ def even_reachable(adj: Adjacency, match: list[int]) -> list[int]:
     return [v for v in range(n) if outer[v]]
 
 
+def kuhn_augment(adj_lr: Adjacency, ml: list[int], mr: list[int], i: int, seen: list[bool]) -> bool:
+    """Kuhn's augmenting-path search from the exposed left vertex i.
+
+    Walks the right neighbors of i in adjacency order, skipping those
+    marked in seen and marking each one it enters; on finding an
+    augmenting path it flips it into ml/mr and returns True.  A caller
+    can pre-mark right vertices in seen to keep them off every path.
+    Recursive, one frame per left vertex on the path.
+    """
+    for j in adj_lr[i]:
+        if not seen[j]:
+            seen[j] = True
+            if mr[j] == -1 or kuhn_augment(adj_lr, ml, mr, mr[j], seen):
+                ml[i] = j
+                mr[j] = i
+                return True
+    return False
+
+
 def bipartite_matching(adj_lr: Adjacency, n_right: int) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph by Kuhn's augmenting paths.
 
@@ -189,19 +230,8 @@ def bipartite_matching(adj_lr: Adjacency, n_right: int) -> tuple[list[int], list
     nl = len(adj_lr)
     ml = [-1] * nl
     mr = [-1] * n_right
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj_lr[i]:
-            if not seen[j]:
-                seen[j] = True
-                if mr[j] == -1 or augment(mr[j], seen):
-                    ml[i] = j
-                    mr[j] = i
-                    return True
-        return False
-
     for i in range(nl):
-        augment(i, [False] * n_right)
+        kuhn_augment(adj_lr, ml, mr, i, [False] * n_right)
     return ml, mr
 
 

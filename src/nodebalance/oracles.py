@@ -19,13 +19,16 @@ from .errors import BudgetError, InstanceError
 
 MAX_EDGES = 12
 MAX_RANGE = 12
+MAX_TARGETS = 1024
 
 
 def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
     """Smallest feasible target by linear scan over [max w, n*max w],
     skipping inadmissible parities; each candidate is tested with the
     subset enumeration.  Uniform weights return their value directly;
-    otherwise raises BudgetError above ENUM_LIMIT vertices."""
+    otherwise raises BudgetError above ENUM_LIMIT vertices, or when some
+    parity is admissible and the range holds more than MAX_TARGETS
+    targets."""
     tw = check_weights(w, G.n)
     uni = is_uniform(tw)
     if uni is not None:
@@ -37,6 +40,9 @@ def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
         return None
     bits = {0 if p == "even" else 1 for p in parities}
     maxw = max(tw)
+    targets = (G.n - 1) * maxw + 1
+    if targets > MAX_TARGETS:
+        raise BudgetError("target scan budget exceeded", targets=targets, limit=MAX_TARGETS)
     for beta in range(maxw, G.n * maxw + 1):
         if beta % 2 not in bits:
             continue

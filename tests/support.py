@@ -7,11 +7,13 @@ import importlib.util
 import itertools
 import pathlib
 import random
+import sys
 from math import gcd
 
 from nodebalance import (
     Bipartition,
     Graph,
+    HallVerdict,
     Hypergraph,
     IncrementPlan,
     equate_backtracking,
@@ -19,8 +21,10 @@ from nodebalance import (
     is_uniform,
 )
 from nodebalance.bmatch import BMatchEngine, _double_cover
+from nodebalance.classify import _unequal_sides_verdict
 from nodebalance.equate import admissible_parities
 from nodebalance.hyper import HyperEquateResult, _backtrack, default_beta_cap
+from nodebalance.matching import bipartite_matching, left_deficient_set
 
 # filled by the acceptance tests, printed by the conftest summary hook
 ACCEPTANCE: list[tuple] = []
@@ -28,11 +32,13 @@ ACCEPTANCE: list[tuple] = []
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def load_bench_tracing():
-    """The benchmark's tracer module (bench/tracing.py), whose SPANS and
-    COUNTS name the program functions it wraps."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    mod = importlib.util.module_from_spec(spec)
+def load_bench(name: str):
+    """A module of the benchmark, bench/<name>.py: tracing, whose SPANS and
+    COUNTS name the program functions it wraps, or workloads, which builds
+    its seeded instances.  The module is registered under bench_<name>
+    before it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
@@ -210,6 +216,53 @@ def bipartite_catalog(max_side: int = 5) -> list[tuple[Graph, Bipartition]]:
 def rand_bipartite(rng: random.Random, a: int, b: int, p: float) -> tuple[Graph, Bipartition]:
     edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
     return Graph(a + b, edges), Bipartition(tuple(range(a)), tuple(range(a, a + b)))
+
+
+def strict_hall_from_scratch(G: Graph, part: Bipartition) -> tuple[HallVerdict, int | None]:
+    """Reference for classify.strict_hall: the pairwise-deletion check with
+    one Kuhn matching built from scratch for each pair (u in L, v in R),
+    u-major, both sides ascending, and the witness read from the first
+    failing pair's matching.  Returns the verdict and the position of that
+    pair in the scan, or None when no pair fails or the sides differ."""
+    L, R = part.left, part.right
+    if len(L) != len(R):
+        big, small = (L, R) if len(L) > len(R) else (R, L)
+        return _unequal_sides_verdict(G, big, len(small)), None
+    k = len(L)
+    if k <= 1:
+        return HallVerdict(True), None
+    for pos, (u, v) in enumerate(itertools.product(L, R)):
+        lefts = [x for x in L if x != u]
+        rights = [y for y in R if y != v]
+        rpos = {y: i for i, y in enumerate(rights)}
+        adj = [[rpos[y] for y in G.neighbors(x) if y != v] for x in lefts]
+        ml, mr = bipartite_matching(adj, k - 1)
+        if -1 in ml:
+            deficient = left_deficient_set(adj, ml, mr)
+            return HallVerdict(False, tuple(lefts[i] for i in deficient)), pos
+    return HallVerdict(True), None
+
+
+def sparse_planned_instance(n: int) -> tuple[Graph, tuple[int, ...]]:
+    """(G, w) drawn from random.Random(n) the way the benchmark's
+    sparse_connected and planned_weights draw them: a random recursive
+    tree plus random edges up to m = int(2.5 n), then the weights that a
+    random plan of 3n edge steps equalizes, so the instance is feasible.
+    From n = 16,000 on, equate's one parity-repair search contracts
+    thousands of blossoms."""
+    rng = random.Random(n)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < int(2.5 * n):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    inc = [0] * n
+    for _ in range(3 * n):
+        u, v = rng.choice(edges)
+        inc[u] += 1
+        inc[v] += 1
+    top = max(inc)
+    return Graph(n, edges), tuple(top - x for x in inc)
 
 
 def balanced_assignment(rng: random.Random, G: Graph, part: Bipartition, wmax: int = 4):

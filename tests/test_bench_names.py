@@ -6,9 +6,9 @@ import importlib
 
 import pytest
 
-from support import load_bench_tracing
+from support import load_bench
 
-_tracing = load_bench_tracing()
+_tracing = load_bench("tracing")
 
 
 @pytest.mark.parametrize(

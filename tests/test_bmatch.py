@@ -46,6 +46,7 @@ from support import (
     rand_graph,
     recursive_max_flow,
     residual_reach,
+    sparse_planned_instance,
     triangle_chain,
 )
 
@@ -580,6 +581,28 @@ class TestRepairWindow:
         assert res.beta == CHAIN_TOP
         assert is_uniform(apply_plan(G, w, res.plan)) == CHAIN_TOP
         assert time.perf_counter() - start < 2
+
+    def test_one_search_with_many_blossoms(self, monkeypatch):
+        # the repair runs one blossom search that contracts about 20,000
+        # blossoms; each contraction costs the blossom, not the tree
+        import time
+
+        from nodebalance import matching
+
+        searches = []
+        find_from = matching._BlossomSearch.find_from
+
+        def counting(self, root):
+            searches.append(root)
+            return find_from(self, root)
+
+        monkeypatch.setattr(matching._BlossomSearch, "find_from", counting)
+        G, w = sparse_planned_instance(16_000)
+        start = time.perf_counter()
+        res = equate(G, w)
+        assert time.perf_counter() - start < 5
+        assert len(searches) == 1
+        assert is_uniform(apply_plan(G, w, res.plan)) == res.beta
 
     def test_window_size_ignores_b(self, repair_log):
         # the same rounds and copies at b = 2*10^6+1 and 2*10^15+1,

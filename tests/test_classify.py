@@ -21,6 +21,7 @@ from nodebalance import (
     strict_hall_enum,
     universal_equatable,
 )
+from nodebalance import matching
 from nodebalance.classify import _sink_component
 from support import (
     C6_PUZZLE_W,
@@ -28,11 +29,13 @@ from support import (
     complete_graph,
     cycle_graph,
     cycle_with_chords,
+    load_bench,
     path_graph,
     rand_bipartite,
     rand_connected,
     rand_graph,
     star_graph,
+    strict_hall_from_scratch,
     universal_by_probes,
 )
 
@@ -273,6 +276,67 @@ class TestStrictHall:
                 assert X and X < side
                 nbh = {u for x in X for u in G.neighbors(x)}
                 assert len(nbh) <= len(X)
+
+
+class TestStrictHallSharedMatching:
+    """strict_hall repairs one shared matching per pair; it must give the
+    verdict and witness of a matching built from scratch for each pair."""
+
+    def test_same_answers_as_from_scratch_pairs(self):
+        rng = random.Random(3)
+        unequal = imperfect = late = 0
+        for _ in range(3000):
+            a = rng.randint(1, 7)
+            b = a if rng.random() < 0.8 else rng.randint(1, 7)
+            G, part = rand_bipartite(rng, a, b, rng.choice((0.2, 0.3, 0.5, 0.7, 0.9)))
+            ref, pos = strict_hall_from_scratch(G, part)
+            assert strict_hall(G, part) == ref, (a, b, G.edges)
+            unequal += a != b
+            if a == b:
+                adj = [[v - a for v in G.neighbors(u)] for u in range(a)]
+                imperfect += -1 in matching.bipartite_matching(adj, b)[0]
+            late += bool(pos)
+        # unequal sides, no perfect matching, a failing pair after passing ones
+        assert min(unequal, imperfect, late) >= 200, (unequal, imperfect, late)
+
+    def test_same_answers_on_bench_chorded_cycles(self):
+        workloads = load_bench("workloads")
+        checked = 0
+        for seed in (1, 2):
+            for op in workloads.classify_scale(seed):
+                d = op.data
+                if op.kind != "strict_hall" or op.fault or len(d["edges"]) == d["n"]:
+                    continue
+                G, part = Graph(d["n"], d["edges"]), Bipartition(d["left"], d["right"])
+                assert strict_hall(G, part) == strict_hall_from_scratch(G, part)[0]
+                checked += 1
+        assert checked == 10
+
+    def test_at_most_two_matchings_per_call(self, monkeypatch):
+        # one for the shared matching, one for the failing pair's witness
+        calls = []
+        real = matching.bipartite_matching
+
+        def counting(adj, n_right):
+            calls.append(n_right)
+            return real(adj, n_right)
+
+        monkeypatch.setattr(matching, "bipartite_matching", counting)
+        rng = random.Random(4)
+        for _ in range(300):
+            a = rng.randint(1, 6)
+            b = a if rng.random() < 0.8 else rng.randint(1, 6)
+            G, part = rand_bipartite(rng, a, b, rng.choice((0.3, 0.6, 0.9)))
+            calls.clear()
+            v = strict_hall(G, part)
+            pairs = a == b >= 2
+            assert len(calls) == pairs * (1 + (not v.verdict))
+
+    def test_c400_in_seconds(self):
+        G = cycle_graph(400)
+        start = time.perf_counter()
+        assert strict_hall(G, bipartition(G)).verdict
+        assert time.perf_counter() - start < 5
 
 
 class TestHallWitnessAssignment:

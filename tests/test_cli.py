@@ -16,7 +16,7 @@ from support import (
     CHAIN_TOP,
     NEAR_OFFSET,
     ROOT,
-    load_bench_tracing,
+    load_bench,
     near_2p53_instance,
     triangle_chain,
 )
@@ -213,6 +213,16 @@ class TestExitCodes:
         rc, out, err = run(capsys, "oracle", "min-beta", str(big))
         assert rc == 3 and out == "" and "limit" in err
 
+    def test_min_beta_target_budget_exits_at_once(self, capsys, tmp_path):
+        # 2 * 10^9 + 1 targets in the scan range: over the budget before
+        # any target is tried
+        big = tmp_path / "p3_big.txt"
+        big.write_text("graph 3\ne 0 1\ne 1 2\nw 1 1000000000\n")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "oracle", "min-beta", str(big))
+        assert time.perf_counter() - start < 1
+        assert rc == 3 and out == "" and "target scan budget exceeded" in err
+
     def test_malformed_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("graph 2\ne 0 5\n")
@@ -357,7 +367,7 @@ class TestStartup:
         # the benchmark's tracer wraps each function in every module that
         # binds it, so those modules must all exist once the package is
         # imported; it imports nodebalance.cli itself
-        tracing = load_bench_tracing()
+        tracing = load_bench("tracing")
         traced = {mod for _, mod, _ in tracing.SPANS + tracing.COUNTS
                   if mod.startswith("nodebalance.")} - {"nodebalance.cli"}
         assert traced
@@ -462,7 +472,8 @@ def fuzz_argv(rng, tmp_path):
     """One seeded CLI call on a small, often malformed instance file: at
     most 6 vertices and 8 edges or hyperedges, headers that stay small
     (a large vertex count is allocated before anything is checked), and
-    weights past 2^63 only where no oracle scans the targets."""
+    weights up to 10^30, which the min-beta oracle's target budget
+    refuses."""
     n = rng.randint(0, 6)
     hyper = rng.random() < 0.25
     small = rng.random() < 0.6
@@ -492,7 +503,7 @@ def fuzz_argv(rng, tmp_path):
     path = tmp_path / "instance.txt"
     path.write_bytes(data)
     cmd = rng.choice(["equate", "classify", "bipartite", "hyper-equate", "reduce", "verify",
-                      "backtrack"] + ["min-beta"] * small)
+                      "backtrack", "min-beta"])
     if cmd == "hyper-equate":
         return [cmd, str(path), "--beta-cap", str(rng.randint(0, 20))]
     if cmd == "reduce":

@@ -17,6 +17,7 @@ from nodebalance import (
     is_uniform,
     min_beta_scan,
 )
+from nodebalance.oracles import MAX_TARGETS
 from support import complete_graph, cycle_graph, path_graph, rand_graph
 
 K3 = complete_graph(3)
@@ -35,6 +36,20 @@ class TestMinBetaScan:
             min_beta_scan(G, (1,) + (0,) * 20)
         # uniform input never needs the scan, so no budget applies
         assert min_beta_scan(G, (3,) * 21) == 3
+
+    def test_target_budget(self):
+        # P3 with 10^9 in the middle: only even targets are admissible, and
+        # [10^9, 3 * 10^9] holds 2 * 10^9 + 1 targets
+        with pytest.raises(BudgetError) as ei:
+            min_beta_scan(path_graph(3), (0, 10**9, 0))
+        assert ei.value.detail == {"targets": 2 * 10**9 + 1, "limit": MAX_TARGETS}
+        # the largest range under the budget is still scanned
+        top = (MAX_TARGETS - 1) // 2
+        assert min_beta_scan(path_graph(3), (0, top, 0)) is None
+        with pytest.raises(BudgetError):
+            min_beta_scan(path_graph(3), (0, top + 1, 0))
+        # no admissible parity, no scan: no budget applies
+        assert min_beta_scan(path_graph(2), (0, 10**9 + 1)) is None
 
 
 class TestBacktracking:
