@@ -115,19 +115,10 @@ class ViolatingSet(_Value):
     """A subset U with positive deficiency; all fields recomputable from
     (G, U, b) via isolated_vertices / s_count / tutte_deficiency."""
 
-    _fields = ("U", "isolated", "s_count", "deficiency")
     U: tuple[int, ...]
     isolated: tuple[int, ...]
     s_count: int
     deficiency: int
-
-    def __init__(
-        self, U: tuple[int, ...], isolated: tuple[int, ...], s_count: int, deficiency: int
-    ) -> None:
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "isolated", isolated)
-        object.__setattr__(self, "s_count", s_count)
-        object.__setattr__(self, "deficiency", deficiency)
 
     def to_jsonable(self) -> dict:
         return {
@@ -162,7 +153,6 @@ def violating_set(G: Graph, U: Iterable[int], b: Iterable[int]) -> ViolatingSet:
 class BMatchOutcome(_Value):
     """Either a constructed plan (feasible) or a verified certificate."""
 
-    _fields = ("plan", "witness")
     plan: Optional[IncrementPlan]
     witness: Optional[ViolatingSet]
 

@@ -104,20 +104,9 @@ class UniversalVerdict(_Value):
     "disconnected", "even_order" or "isolated_condition"; in the last
     case witness is a nonempty U isolating at least |U| vertices."""
 
-    _fields = ("verdict", "reason", "witness")
     verdict: bool
-    reason: Optional[str]
-    witness: Optional[tuple[int, ...]]
-
-    def __init__(
-        self,
-        verdict: bool,
-        reason: Optional[str] = None,
-        witness: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "witness", witness)
+    reason: Optional[str] = None
+    witness: Optional[tuple[int, ...]] = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -219,7 +208,6 @@ def _sink_component(succ: Sequence[Sequence[int]], root: int) -> list[int]:
 class Bipartition(_Value):
     """Two disjoint vertex sets; every edge of the host graph must cross."""
 
-    _fields = ("left", "right")
     left: tuple[int, ...]
     right: tuple[int, ...]
 
@@ -262,13 +250,8 @@ class HallVerdict(_Value):
     """verdict False comes with a witness: a nonempty X properly inside
     one side with |N(X)| <= |X|."""
 
-    _fields = ("verdict", "witness")
     verdict: bool
-    witness: Optional[tuple[int, ...]]
-
-    def __init__(self, verdict: bool, witness: Optional[tuple[int, ...]] = None) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
+    witness: Optional[tuple[int, ...]] = None
 
 
 def _neighborhood(G: Graph, X: Iterable[int]) -> set[int]:

@@ -76,13 +76,8 @@ class BoundCase(_Value):
     "always"/"never" are the constant cases (slope zero).
     """
 
-    _fields = ("kind", "beta")
     kind: str
-    beta: Optional[int]
-
-    def __init__(self, kind: str, beta: Optional[int] = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "beta", beta)
+    beta: Optional[int] = None
 
 
 def constraint_bound(
@@ -114,20 +109,9 @@ class ParityOutcome(_Value):
     """Result of one parity-class search: smallest feasible beta with its
     plan, or absent with the last certificate seen."""
 
-    _fields = ("beta", "plan", "certificate")
-    beta: Optional[int]
-    plan: Optional[IncrementPlan]
-    certificate: Optional[ViolatingSet]
-
-    def __init__(
-        self,
-        beta: Optional[int] = None,
-        plan: Optional[IncrementPlan] = None,
-        certificate: Optional[ViolatingSet] = None,
-    ) -> None:
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "certificate", certificate)
+    beta: Optional[int] = None
+    plan: Optional[IncrementPlan] = None
+    certificate: Optional[ViolatingSet] = None
 
 
 def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
@@ -224,7 +208,6 @@ class EquateResult(_Value):
     case certificates maps each searched parity to its violating set.
     """
 
-    _fields = ("beta", "plan", "reason", "certificates")
     beta: Optional[int]
     plan: Optional[IncrementPlan]
     reason: Optional[str]

@@ -45,10 +45,12 @@ PM_LIMIT = 24
 def default_beta_cap(H: Hypergraph, w: Sequence[int]) -> int:
     """n * max(w) * largest edge size, floored at max(w).  Purely a search
     bound; no finite cap is complete for every hypergraph."""
-    tw = check_weights(w, H.n)
-    maxw = max(tw, default=0)
-    maxsize = max((len(e) for e in H.edges), default=0)
-    return max(maxw, H.n * maxw * maxsize)
+    return _beta_cap(H, check_weights(w, H.n))
+
+
+def _beta_cap(H: Hypergraph, w: Weights) -> int:
+    maxw = max(w, default=0)
+    return max(maxw, H.n * maxw * max((len(e) for e in H.edges), default=0))
 
 
 class HyperEquateResult(_Value):
@@ -62,26 +64,11 @@ class HyperEquateResult(_Value):
     vertex pins the target to an impossible value; the vertex is
     reported)."""
 
-    _fields = ("cap", "beta", "plan", "reason", "frozen")
     cap: int
-    beta: Optional[int]
-    plan: Optional[IncrementPlan]
-    reason: Optional[str]
-    frozen: Optional[int]
-
-    def __init__(
-        self,
-        cap: int,
-        beta: Optional[int] = None,
-        plan: Optional[IncrementPlan] = None,
-        reason: Optional[str] = None,
-        frozen: Optional[int] = None,
-    ) -> None:
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "frozen", frozen)
+    beta: Optional[int] = None
+    plan: Optional[IncrementPlan] = None
+    reason: Optional[str] = None
+    frozen: Optional[int] = None
 
     @property
     def feasible(self) -> bool:
@@ -215,7 +202,7 @@ def hyper_equate(
     merged = Hypergraph(H.n, list(lowest))
     index = list(lowest.values())
     maxw = max(tw, default=0)
-    cap = default_beta_cap(H, tw) if beta_cap is None else _as_int(beta_cap, "beta cap")
+    cap = _beta_cap(H, tw) if beta_cap is None else _as_int(beta_cap, "beta cap")
     if cap < maxw:
         raise InstanceError(f"beta cap {cap} below max weight {maxw}")
     uni = is_uniform(tw)
@@ -264,17 +251,9 @@ class ReductionOutput(_Value):
     """Equalization instance encoding a hypergraph perfect-matching
     question; gadget vertex ids are (p, q, r) = (n, n+1, n+2)."""
 
-    _fields = ("hypergraph", "weights", "new_vertex_ids")
     hypergraph: Hypergraph
     weights: Weights
     new_vertex_ids: tuple[int, int, int]
-
-    def __init__(
-        self, hypergraph: Hypergraph, weights: Weights, new_vertex_ids: tuple[int, int, int]
-    ) -> None:
-        object.__setattr__(self, "hypergraph", hypergraph)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "new_vertex_ids", new_vertex_ids)
 
 
 def reduce_pm_to_equate(H: Hypergraph) -> ReductionOutput:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from nodebalance import Graph, equate, parse_instance, serialize_instance
-from nodebalance import bmatch, cli
+from nodebalance import bmatch, cli, core
 from nodebalance.cli import main
 from support import (
     CHAIN_TOP,
@@ -223,6 +223,17 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert rc == 3 and out == "" and "target scan budget exceeded" in err
 
+    def test_vertex_budget_exits_at_once(self, capsys, tmp_path):
+        # one vertex past the header limit; nothing of size n is allocated.
+        # Larger headers are not tried: without the limit they exhaust memory
+        big = tmp_path / "huge_header.txt"
+        big.write_text(f"graph {core.MAX_VERTICES + 1}\n")
+        assert big.stat().st_size == 14
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "equate", str(big))
+        assert time.perf_counter() - start < 1
+        assert rc == 3 and out == "" and "vertex budget exceeded" in err
+
     def test_malformed_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("graph 2\ne 0 5\n")
@@ -336,12 +347,14 @@ class TestNonBipartite:
             "from nodebalance.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = main(['equate', {str(path)!r}])\n"
-            "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n"
+            "mods = ('scipy', 'numpy', 'dataclasses', 'inspect')\n"
+            "print(rc, *(m in sys.modules for m in mods))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "False", "False"]
+        # and the value types' constructors need neither dataclasses nor inspect
+        assert done.stdout.split() == ["0", "False", "False", "False", "False"]
 
 
 def _fresh_modules(statement: str) -> set[str]:
@@ -470,10 +483,9 @@ FUZZ_PLANS = [
 
 def fuzz_argv(rng, tmp_path):
     """One seeded CLI call on a small, often malformed instance file: at
-    most 6 vertices and 8 edges or hyperedges, headers that stay small
-    (a large vertex count is allocated before anything is checked), and
-    weights up to 10^30, which the min-beta oracle's target budget
-    refuses."""
+    most 6 vertices and 8 edges or hyperedges, small headers (the vertex
+    budget has its own test), and weights up to 10^30, which the min-beta
+    oracle's target budget refuses."""
     n = rng.randint(0, 6)
     hyper = rng.random() < 0.25
     small = rng.random() < 0.6

@@ -39,6 +39,7 @@ from support import (
     rand_bipartite,
     rand_connected,
     rand_graph,
+    sparse_planned_instance,
     star_graph,
 )
 
@@ -532,13 +533,7 @@ class TestMetamorphic:
             base = equate(G, w)
             if planned:
                 assert base.feasible
-            perm = list(range(n))
-            rng.shuffle(perm)
-            H = Graph(n, [(perm[u], perm[v]) for u, v in G.edges])
-            hw = [0] * n
-            for v in range(n):
-                hw[perm[v]] = w[v]
-            moved = equate(H, tuple(hw))
+            moved = equate(*relabelled(rng, G, w))
             assert (moved.feasible, moved.beta) == (base.feasible, base.beta)
             for c in (1, 2, 10**6 + 1, 10**15):
                 wc = tuple(x + c for x in w)
@@ -551,6 +546,30 @@ class TestMetamorphic:
                     assert res.reason == base.reason
                     for parity, cert in res.certificates.items():
                         assert_certifies(G, wc, parity, cert)
+
+    def test_relabel_and_shift_at_8001_vertices(self):
+        # feasible; the plain and the shifted solve each run one parity
+        # repair (n = 8000 rounds to a plan without one)
+        G, w = sparse_planned_instance(8001)
+        base = equate(G, w)
+        assert apply_plan(G, w, base.plan) == (base.beta,) * G.n
+        for H, hw, shift in (
+            (*relabelled(random.Random("metamorphic:8001"), G, w), 0),
+            (G, tuple(x + HUGE for x in w), HUGE),
+        ):
+            res = equate(H, hw)
+            assert res.beta == base.beta + shift
+            assert apply_plan(H, hw, res.plan) == (res.beta,) * G.n
+
+
+def relabelled(rng, G, w):
+    """(G, w) with the vertices renamed by a random permutation."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    hw = [0] * G.n
+    for v in range(G.n):
+        hw[perm[v]] = w[v]
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges]), tuple(hw)
 
 
 HUGE = 10**30

@@ -48,6 +48,22 @@ class TestCapAndBudget:
         with pytest.raises(InstanceError):
             hyper_equate(H0, (0, 0, 2), beta_cap=1)
 
+    def test_weights_validated_once(self, monkeypatch):
+        calls, real = [], hyper.check_weights
+
+        def counted(w, n):
+            calls.append(n)
+            return real(w, n)
+
+        monkeypatch.setattr(hyper, "check_weights", counted)
+        for H, w in ((H0, (0, 1, 2)), (H1, (1, 1, 1, 0)), (H0, (2, 2, 2))):
+            calls.clear()
+            hyper_equate(H, w)
+            assert calls == [H.n]
+        calls.clear()
+        hyper_equate(H0, (0, 1, 2), beta_cap=5)
+        assert calls == [3]
+
     def test_edge_budget(self):
         H = Hypergraph(18, [(i, i + 1) for i in range(17)])
         with pytest.raises(BudgetError) as ei:

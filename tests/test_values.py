@@ -2,6 +2,7 @@
 repr, pickling and validation, the same for every one of them."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -189,6 +190,33 @@ def test_keyword_construction():
     assert Graph(2) == Graph(n=2, edges=())
     assert IncrementPlan() == IncrementPlan.empty() == IncrementPlan(entries={})
     assert BoundCase(kind="at_most", beta=3) == BoundCase("at_most", 3)
+
+
+# the constructors _Value compiles from the annotations: one parameter per
+# field, in order, with the class attribute as its default
+SIGNATURES = {
+    ViolatingSet: "(U, isolated, s_count, deficiency)",
+    UniversalVerdict: "(verdict, reason=None, witness=None)",
+    HallVerdict: "(verdict, witness=None)",
+    BoundCase: "(kind, beta=None)",
+    ParityOutcome: "(beta=None, plan=None, certificate=None)",
+    HyperEquateResult: "(cap, beta=None, plan=None, reason=None, frozen=None)",
+    ReductionOutput: "(hypergraph, weights, new_vertex_ids)",
+}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_generated_constructor(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    params = inspect.signature(cls).parameters.values()
+    assert cls._fields == tuple(p.name for p in params)
+    required = [p.name for p in params if p.default is p.empty]
+    if required:
+        with pytest.raises(TypeError, match=f"missing .*'{required[-1]}'"):
+            cls(*(None,) * (len(required) - 1))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
+        cls(*(None,) * len(required), colour=1)
 
 
 def test_validation_errors():
