@@ -468,10 +468,9 @@ class BMatchEngine:
         """The plan of b or its Tutte-set certificate, from one solve.
         The plan is replayed against b here, and a certificate was
         re-verified against the subset definition when it was taken; a
-        failure of either raises InternalError.  A zero demand has the
-        empty plan."""
-        if not any(b):
-            return BMatchOutcome(plan=IncrementPlan.empty())
+        failure of either raises InternalError.  A zero demand gets the
+        empty plan from _solve: its flow is zero and leaves no odd
+        circuit."""
         out = self._solve(b)
         if out.plan is not None and not _plan_is_perfect(self.G, b, out.plan):
             raise InternalError("constructed plan failed verification")

@@ -195,7 +195,7 @@ def _plan_from_json(host: Host, doc) -> tuple[IncrementPlan, Optional[int]]:
                 raise InstanceError(f"graph plan edge must have 2 vertices: {members}")
             key = (min(members), max(members))
         else:
-            key = index_of.get(tuple(sorted(set(members))))
+            key = index_of.get(tuple(sorted(members)))
             if key is None:
                 raise InstanceError(f"plan edge {members} not in instance")
         entries.append((key, count))

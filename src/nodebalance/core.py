@@ -204,10 +204,6 @@ Host = Union[Graph, Hypergraph]
 PlanKey = Union[Edge, int]
 
 
-def _key_sort(k: PlanKey):
-    return k if isinstance(k, tuple) else (k,)
-
-
 class IncrementPlan(_Value):
     """Multiset of edges with multiplicities; one entry means that many
     steps on that edge.  Steps commute, so only multiplicities matter.
@@ -251,9 +247,8 @@ class IncrementPlan(_Value):
         kinds = {isinstance(k, tuple) for k in merged}
         if len(kinds) > 1:
             raise InstanceError("plan mixes graph-edge and hyperedge keys")
-        object.__setattr__(
-            self, "entries", tuple(sorted(merged.items(), key=lambda kv: _key_sort(kv[0])))
-        )
+        # one key kind, each key once: the pairs sort by key alone
+        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
 
     @classmethod
     def empty(cls) -> "IncrementPlan":
@@ -373,8 +368,8 @@ def parse_instance(text: str) -> tuple[Host, Weights]:
     Raises BudgetError at a header above MAX_VERTICES, before allocating.
     """
     n: int | None = None
-    # (kind, members, line) in file order; kind "e" or "h"
-    raw_edges: list[tuple[str, tuple[int, ...], int]] = []
+    # members of each e and h line, in file order
+    raw_edges: list[tuple[int, ...]] = []
     weights: dict[int, int] = {}
     seen_pairs: set[Edge] = set()
     any_h = False
@@ -411,7 +406,7 @@ def parse_instance(text: str) -> tuple[Host, Weights]:
             if pair in seen_pairs:
                 raise ParseError(f"duplicate edge ({pair[0]},{pair[1]})", lineno)
             seen_pairs.add(pair)
-            raw_edges.append(("e", pair, lineno))
+            raw_edges.append(pair)
         elif tag == "h":
             if len(toks) < 2:
                 raise ParseError("hyperedge line needs at least one vertex", lineno)
@@ -421,7 +416,7 @@ def parse_instance(text: str) -> tuple[Host, Weights]:
                     raise ParseError(f"vertex {v} out of range for n={n}", lineno)
             if len(set(members)) != len(members):
                 raise ParseError("repeated vertex in hyperedge", lineno)
-            raw_edges.append(("h", tuple(sorted(members)), lineno))
+            raw_edges.append(tuple(sorted(members)))
             any_h = True
         elif tag == "w":
             if len(toks) != 3:
@@ -443,9 +438,9 @@ def parse_instance(text: str) -> tuple[Host, Weights]:
     w = tuple(weights.get(v, 0) for v in range(n))
     host: Host
     if any_h:
-        host = Hypergraph(n, tuple(members for _, members, _ in raw_edges))
+        host = Hypergraph(n, raw_edges)
     else:
-        host = Graph(n, tuple(members for _, members, _ in raw_edges))
+        host = Graph(n, raw_edges)
     return host, w
 
 

@@ -134,7 +134,7 @@ def _backtrack(H: Hypergraph, w: Weights, beta: int) -> Optional[IncrementPlan]:
 
     if not rec(0):
         return None
-    return IncrementPlan(tuple((i, c) for i, c in enumerate(counts) if c))
+    return IncrementPlan._trusted(enumerate(counts))
 
 
 def _rational_targets(H: Hypergraph, w: Weights) -> Optional[tuple[int, ...]]:
@@ -240,7 +240,7 @@ def hyper_equate(
     for beta in targets:
         plan = _backtrack(merged, tw, beta)
         if plan is not None:
-            plan = IncrementPlan(tuple((index[i], c) for i, c in plan.items()))
+            plan = IncrementPlan._trusted((index[i], c) for i, c in plan.items())
             if _apply_plan(H, tw, plan) != (beta,) * H.n:
                 raise InternalError("backtracking plan failed replay check")
             return HyperEquateResult(cap, beta=beta, plan=plan)

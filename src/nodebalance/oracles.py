@@ -2,10 +2,11 @@
 
 These are deliberately naive and independent: min_beta_scan walks every
 candidate target and asks the subset-enumeration check, while
-equate_backtracking searches edge multiplicities directly and never
-consults any feasibility theory.  Agreement between the main solver and
-these two is the repository's core correctness experiment, so both ship
-in the library (and behind the CLI) rather than hiding in the tests.
+equate_backtracking runs the hypergraph multiplicity search on the graph
+as a 2-uniform hypergraph and never consults any feasibility theory.
+Agreement between the main solver and these two is the repository's core
+correctness experiment, so both ship in the library (and behind the CLI)
+rather than hiding in the tests.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bmatch import ENUM_LIMIT, check_tutte_enumeration
-from .core import Graph, IncrementPlan, _as_int, check_weights, is_uniform
+from .core import Graph, Hypergraph, IncrementPlan, _as_int, check_weights, is_uniform
 from .equate import _parities
 from .errors import BudgetError, InstanceError
+from .hyper import _backtrack
 
 MAX_EDGES = 12
 MAX_RANGE = 12
@@ -54,10 +56,11 @@ def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
 def equate_backtracking(G: Graph, w: Sequence[int], beta: int) -> Optional[IncrementPlan]:
     """Depth-first search for multiplicities reaching the given target.
 
-    Edges are assigned in canonical order with residual-demand pruning; a
+    The search is hyper._backtrack on G as a 2-uniform hypergraph: edges
+    are assigned in canonical order with residual-demand pruning, and a
     vertex's demand must be exactly met once its last edge is fixed.  The
     only shortcut is the handshake parity check (an odd total demand can
-    never be covered by steps of two).  Any valid plan is returned.
+    never be covered by steps of two).  The first plan found is returned.
     Raises BudgetError above MAX_EDGES edges or when beta - min(w)
     exceeds MAX_RANGE.
     """
@@ -70,37 +73,9 @@ def equate_backtracking(G: Graph, w: Sequence[int], beta: int) -> Optional[Incre
     spread = beta - min(tw, default=0)
     if spread > MAX_RANGE:
         raise BudgetError("target range budget exceeded", range=spread, limit=MAX_RANGE)
-    residual = [beta - x for x in tw]
-    if sum(residual) % 2 == 1:
+    if (G.n * beta - sum(tw)) % 2 == 1:
         return None
-    last_pos = [-1] * G.n
-    for pos, (u, v) in enumerate(G.edges):
-        last_pos[u] = pos
-        last_pos[v] = pos
-    if any(residual[v] > 0 and last_pos[v] == -1 for v in range(G.n)):
+    plan = _backtrack(Hypergraph(G.n, G.edges), tw, beta)
+    if plan is None:
         return None
-    counts = [0] * G.m
-
-    def rec(pos: int) -> bool:
-        if pos == G.m:
-            return all(r == 0 for r in residual)
-        u, v = G.edges[pos]
-        cap = min(residual[u], residual[v])
-        for x in range(cap + 1):
-            residual[u] -= x
-            residual[v] -= x
-            ok = (last_pos[u] != pos or residual[u] == 0) and (
-                last_pos[v] != pos or residual[v] == 0
-            )
-            if ok:
-                counts[pos] = x
-                if rec(pos + 1):
-                    return True
-                counts[pos] = 0
-            residual[u] += x
-            residual[v] += x
-        return False
-
-    if not rec(0):
-        return None
-    return IncrementPlan(tuple((G.edges[i], c) for i, c in enumerate(counts) if c))
+    return IncrementPlan._trusted((G.edges[i], c) for i, c in plan.items())

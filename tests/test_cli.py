@@ -431,6 +431,17 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", K3_100, "--plan", str(plan))
         assert rc == 2 and out == "" and "malformed" in err
 
+    def test_hyperedge_with_repeated_vertex_rejected(self, capsys, tmp_path):
+        inst = tmp_path / "h.txt"
+        inst.write_text("graph 3\nh 0 1 2\n")
+        plan = tmp_path / "plan.json"
+        plan.write_text('[{"edge": [2, 0, 1, 1], "count": 1}]')
+        rc, out, err = run(capsys, "verify", str(inst), "--plan", str(plan))
+        assert rc == 2 and out == "" and "not in instance" in err
+        plan.write_text('[{"edge": [2, 0, 1], "count": 1}]')
+        rc, out, _ = run(capsys, "verify", str(inst), "--plan", str(plan))
+        assert rc == 0 and json.loads(out)["ok"]
+
     def test_deeply_nested_plan(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text("[" * 100_000 + "]" * 100_000)
