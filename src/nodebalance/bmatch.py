@@ -67,30 +67,39 @@ def _tutte_terms(
     """(I(U), S(G-U), deficiency) from one component scan of G-U, for a
     sorted in-range U and a validated b.  I(U) is exactly the set of
     singleton components of G-U."""
-    seen = set(U)
+    seen = [False] * G.n
+    for v in U:
+        seen[v] = True
+    neighbors = G.neighbors
     iso = []
     s_cnt = 0
+    d = -sum(b[v] for v in U)
     for s in range(G.n):
-        if s in seen:
+        if seen[s]:
             continue
-        seen.add(s)
-        stack = [s]
-        size = 0
+        seen[s] = True
+        comp = [s]
         tot = 0
-        while stack:
-            v = stack.pop()
-            size += 1
+        for v in comp:  # a breadth-first scan: the loop reaches what it appends
             tot += b[v]
-            for u in G.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if size == 1:
+            for u in neighbors(v):
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        if len(comp) == 1:
             iso.append(s)
+            d += tot
         else:
             s_cnt += tot & 1
-    d = sum(b[v] for v in iso) + s_cnt - sum(b[v] for v in U)
-    return tuple(iso), s_cnt, d
+    return tuple(iso), s_cnt, d + s_cnt
+
+
+def _neighborhood(G: Graph, X: Iterable[int]) -> set[int]:
+    """N(X): the vertices with a neighbour in X."""
+    out: set[int] = set()
+    for v in X:
+        out.update(G.neighbors(v))
+    return out
 
 
 def isolated_vertices(G: Graph, U: Iterable[int]) -> tuple[int, ...]:
@@ -169,88 +178,24 @@ class BMatchOutcome(_Value):
         return self.plan is not None
 
 
-def _neighbor_masks(G: Graph) -> list[int]:
-    masks = [0] * G.n
-    for u, v in G.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _subset_stats(nbr: Sequence[int], all_mask: int, b: Sequence[int], umask: int):
-    """(isolated mask, S count) of the graph minus the vertices in umask."""
-    rem = all_mask & ~umask
-    iso = 0
-    s_cnt = 0
-    remaining = rem
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                lsb = f & -f
-                nxt |= nbr[lsb.bit_length() - 1]
-                f ^= lsb
-            nxt &= rem & ~comp
-            comp |= nxt
-            frontier = nxt
-        remaining &= ~comp
-        if comp & (comp - 1) == 0:
-            iso |= comp
-        else:
-            tot = 0
-            c = comp
-            while c:
-                lsb = c & -c
-                tot += b[lsb.bit_length() - 1]
-                c ^= lsb
-            s_cnt += tot & 1
-    return iso, s_cnt
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
-
-
 def check_tutte_enumeration(G: Graph, b: Iterable[int]) -> Optional[ViolatingSet]:
-    """Evaluate the subset condition over all 2^n subsets in canonical
-    order (by size, then lexicographically).  Returns None when every
-    subset satisfies the condition (a perfect b-matching exists), else the
-    violating set of maximum deficiency, ties broken by canonical order.
-    Raises BudgetError above ENUM_LIMIT vertices.
+    """Evaluate the subset condition by _tutte_terms at each of the 2^n
+    subsets, in canonical order (by size, then lexicographically).
+    Returns None when every subset satisfies the condition (a perfect
+    b-matching exists), else the violating set of maximum deficiency,
+    ties broken by canonical order.  Raises BudgetError above ENUM_LIMIT
+    vertices.
     """
     tb = check_bvector(b, G.n)
     if G.n > ENUM_LIMIT:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
-    nbr = _neighbor_masks(G)
-    all_mask = (1 << G.n) - 1
     best = None
     best_d = 0
     for size in range(G.n + 1):
-        for combo in combinations(range(G.n), size):
-            umask = 0
-            bu = 0
-            for v in combo:
-                umask |= 1 << v
-                bu += tb[v]
-            iso, s = _subset_stats(nbr, all_mask, tb, umask)
-            d = s - bu
-            m = iso
-            while m:
-                lsb = m & -m
-                d += tb[lsb.bit_length() - 1]
-                m ^= lsb
-            if d >= 1 and d > best_d:
-                best = ViolatingSet(combo, tuple(_bits(iso)), s, d)
-                best_d = d
+        for U in combinations(range(G.n), size):
+            iso, s, d = _tutte_terms(G, U, tb)
+            if d > best_d:
+                best, best_d = ViolatingSet(U, iso, s, d), d
     return best
 
 
@@ -393,11 +338,7 @@ def _cover_cut(G: Graph, level: Sequence[int]) -> list[int]:
     lie in N(A)\\A), so A is stable, b(A) > b(N(A)), and U = N(A), which
     isolates A, violates.  On one copy of a bipartite graph A is the
     reached part of side 0."""
-    U: set[int] = set()
-    for v in range(G.n):
-        if level[v] >= 0:
-            U.update(G.neighbors(v))
-    return sorted(U)
+    return sorted(_neighborhood(G, (v for v in range(G.n) if level[v] >= 0)))
 
 
 def _round_circuits(G: Graph, twice: Sequence[int], y: list[int]) -> int:
@@ -573,7 +514,7 @@ class BMatchEngine:
                 return BMatchOutcome(plan=plan)
             if plan.total_steps == sum(y):
                 D = {copy_of[i] for i in matching.even_reachable(adj, match)}
-                U = sorted({u for v in D for u in G.neighbors(v)} - D)
+                U = sorted(_neighborhood(G, D) - D)
                 return BMatchOutcome(witness=self._cut(b, U))
             y = [counts[e] for e in G.edges]
 

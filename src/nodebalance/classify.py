@@ -25,8 +25,15 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .bmatch import ENUM_LIMIT, _cover_cut, _double_cover, _neighbor_masks, _two_color
-from .core import Graph, Weights, _Value, check_weights
+from .bmatch import (
+    ENUM_LIMIT,
+    _cover_cut,
+    _double_cover,
+    _neighborhood,
+    _tutte_terms,
+    _two_color,
+)
+from .core import Graph, Weights, _as_int, _Value, check_weights
 from .errors import BudgetError, InstanceError, InternalError
 
 
@@ -47,55 +54,40 @@ def is_connected(G: Graph) -> bool:
 
 def isolated_condition_enum(G: Graph) -> Optional[tuple[int, ...]]:
     """First nonempty U in canonical order (size, then lexicographic)
-    whose deletion isolates at least |U| vertices, or None.  Raises
-    BudgetError above ENUM_LIMIT vertices."""
+    whose deletion isolates at least |U| vertices, or None.  I(U) is read
+    from bmatch._tutte_terms.  Raises BudgetError above ENUM_LIMIT
+    vertices."""
     if G.n > ENUM_LIMIT:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
-    nbr = _neighbor_masks(G)
+    zeros = (0,) * G.n
     for size in range(1, G.n + 1):
-        for combo in combinations(range(G.n), size):
-            umask = 0
-            for v in combo:
-                umask |= 1 << v
-            iso = sum(
-                1
-                for v in range(G.n)
-                if not (umask >> v) & 1 and nbr[v] & ~umask == 0
-            )
-            if iso >= size:
-                return combo
+        for U in combinations(range(G.n), size):
+            if len(_tutte_terms(G, U, zeros)[0]) >= size:
+                return U
     return None
 
 
 def independent_set_condition(G: Graph) -> Optional[tuple[int, ...]]:
-    """Berge-style cross-check: a nonempty independent S with
-    |N(S)| <= |S|, or None.  Requires a graph with no isolated vertices
-    and n >= 2; under that restriction the outcome matches
-    isolated_condition_enum.  Raises BudgetError above ENUM_LIMIT
-    vertices."""
+    """Berge-style cross-check: the nonempty independent S with
+    |N(S)| <= |S| of largest |S| - |N(S)|, ties broken by canonical order,
+    or None; N(S) is read from bmatch._neighborhood.  Requires a graph
+    with no isolated vertices and n >= 2; under that restriction the
+    outcome matches isolated_condition_enum.  Raises BudgetError above
+    ENUM_LIMIT vertices."""
     if G.n < 2:
         raise InstanceError("independent-set check needs n >= 2")
-    nbr = _neighbor_masks(G)
-    if any(m == 0 for m in nbr):
+    if any(G.degree(v) == 0 for v in range(G.n)):
         raise InstanceError("independent-set check requires no isolated vertices")
     if G.n > ENUM_LIMIT:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
     best: Optional[tuple[int, ...]] = None
     best_def = -1
     for size in range(1, G.n + 1):
-        for combo in combinations(range(G.n), size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if any(nbr[v] & smask for v in combo):
-                continue
-            nmask = 0
-            for v in combo:
-                nmask |= nbr[v]
-            d = size - bin(nmask).count("1")
-            # keep the worst violation, mirroring the Tutte enumeration
-            if d >= 0 and d > best_def:
-                best, best_def = combo, d
+        for S in combinations(range(G.n), size):
+            N = _neighborhood(G, S)
+            d = size - len(N)
+            if d > best_def and N.isdisjoint(S):
+                best, best_def = S, d
     return best
 
 
@@ -212,8 +204,8 @@ class Bipartition(_Value):
     right: tuple[int, ...]
 
     def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        left = tuple(sorted(left))
-        right = tuple(sorted(right))
+        left = tuple(sorted(_as_int(v, "vertex id") for v in left))
+        right = tuple(sorted(_as_int(v, "vertex id") for v in right))
         if set(left) & set(right):
             raise InstanceError("bipartition sides overlap")
         object.__setattr__(self, "left", left)
@@ -252,13 +244,6 @@ class HallVerdict(_Value):
 
     verdict: bool
     witness: Optional[tuple[int, ...]] = None
-
-
-def _neighborhood(G: Graph, X: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for v in X:
-        out.update(G.neighbors(v))
-    return out
 
 
 def _unequal_sides_verdict(G: Graph, big: tuple[int, ...], small_len: int) -> HallVerdict:
@@ -381,7 +366,7 @@ def hall_witness_assignment(
     balanced by construction (one unit per side).
     """
     part.validate_for(G)
-    tx = tuple(sorted(set(X)))
+    tx = tuple(sorted({_as_int(v, "vertex id") for v in X}))
     if not tx:
         raise InstanceError("witness X must be nonempty")
     lset, rset = set(part.left), set(part.right)

@@ -39,6 +39,7 @@ from support import (
     complete_graph,
     cycle_graph,
     hub_triangles,
+    load_bench,
     near_2p53_instance,
     path_graph,
     rand_connected,
@@ -116,6 +117,54 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             check_tutte_enumeration(Graph(21, []), (0,) * 21)
+
+
+class TestIndependentReference:
+    """The Tutte terms against bench/checks.py, which evaluates them on
+    neighbour bitmasks and imports nothing from the program, so that the
+    oracle and the helpers are not checked only against _tutte_terms."""
+
+    def test_terms_and_enumeration_match_the_bitmask_reference(self):
+        checks = load_bench("checks")
+        rng = random.Random(1504)
+        triples = 0
+        for _ in range(100):
+            n = rng.randint(1, 10)
+            G = rand_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+            b = tuple(rng.randint(0, 4) for _ in range(n))
+            nbr = checks.adjacency(n, G.edges)
+
+            def terms(U):
+                umask = checks._mask(U)
+                iso = tuple(checks._bits(checks.isolated(nbr, n, umask)))
+                s = sum(
+                    1
+                    for comp in checks._components(nbr, ((1 << n) - 1) & ~umask)
+                    if comp & (comp - 1) and checks._wsum(b, comp) % 2
+                )
+                return iso, s, sum(b[v] for v in iso) + s - sum(b[v] for v in U)
+
+            subsets = [U for r in range(n + 1) for U in itertools.combinations(range(n), r)]
+            best = None  # max deficiency, first in canonical order
+            for U in subsets:
+                iso, s, d = terms(U)
+                if d >= 1 and (best is None or d > best[3]):
+                    best = (U, iso, s, d)
+            vs = check_tutte_enumeration(G, b)
+            got = None if vs is None else (vs.U, vs.isolated, vs.s_count, vs.deficiency)
+            assert got == best, (G, b)
+            for _ in range(5):
+                U = rng.choice(subsets)
+                iso, s, d = terms(U)
+                assert isolated_vertices(G, U) == iso, (G, U)
+                assert s_count(G, U, b) == s, (G, U, b)
+                assert tutte_deficiency(G, U, b) == d, (G, U, b)
+                nmask = 0
+                for v in U:
+                    nmask |= nbr[v]
+                assert bmatch._neighborhood(G, U) == set(checks._bits(nmask)), (G, U)
+                triples += 1
+        assert triples == 500
 
 
 class TestExpandGraph:

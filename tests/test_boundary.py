@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodebalance import (
+    Bipartition,
     Graph,
     Hypergraph,
     IncrementPlan,
@@ -19,11 +20,13 @@ from nodebalance import (
     constraint_bound,
     equate,
     equate_backtracking,
+    hall_witness_assignment,
     hyper_equate,
     is_balanced,
     isolated_vertices,
     min_beta_for_parity,
     s_count,
+    strict_hall,
     tutte_deficiency,
     verify_plan_perfect,
     violating_set,
@@ -63,14 +66,17 @@ def test_bad_vector_rejected(fn, bad):
 
 
 # the vertex subset U is the vector isolated_vertices takes; a subset has
-# no fixed length, so the other three cases apply
-BAD_SUBSETS = {"negative": {-1}, "bool": {True}, "non_int": {1.0}}
+# no fixed length, so the other cases apply.  True and 1.0 equal vertex 1,
+# so only a type check rejects them as a bipartition side
+BAD_SUBSETS = {"negative": {-1}, "bool": {True}, "non_int": {1.0}, "str": {"1"}}
 
 SUBSET_TAKERS = {
     "isolated_vertices": lambda U: isolated_vertices(P3, U),
     "s_count": lambda U: s_count(P3, U, (1, 0, 1)),
     "tutte_deficiency": lambda U: tutte_deficiency(P3, U, (1, 0, 1)),
     "violating_set": lambda U: violating_set(P3, U, (1, 0, 1)),
+    "Bipartition": lambda U: strict_hall(P3, Bipartition([0, 2], U)),
+    "hall_witness_assignment": lambda U: hall_witness_assignment(P3, bipartition(P3), U),
 }
 
 
@@ -79,6 +85,22 @@ SUBSET_TAKERS = {
 def test_bad_subset_rejected(fn, bad):
     with pytest.raises(InstanceError):
         SUBSET_TAKERS[fn](BAD_SUBSETS[bad])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Bipartition([0, "x"], [1]),
+        lambda: hall_witness_assignment(P3, bipartition(P3), [0.0]),
+    ],
+    ids=["str_beside_int", "float_witness"],
+)
+def test_vertex_id_type_checked_before_use(call):
+    # the table's subsets stand alone; mixed with ints, a str side used to
+    # escape from sorting as TypeError, and a float witness X properly
+    # inside a side from indexing the adjacency
+    with pytest.raises(InstanceError, match="vertex id"):
+        call()
 
 
 # a bool would pass for 1, and "9" and 2.5 would escape as TypeError

@@ -563,3 +563,32 @@ class TestFuzz:
             else:
                 assert out == json.dumps(json.loads(out), indent=2) + "\n", (seed, argv)
         assert min(codes.values()) >= 1 and min(codes[0], codes[2]) >= 50, codes
+
+    def test_hundred_thousand_edges(self, capfd, tmp_path):
+        # a path on 50,000 vertices plus random chords, with a triangle at
+        # 0, 1, 2, and five weights: equate solves it at beta 3 and prints
+        # about 2 MB.  The same file with its first edge repeated, reversed,
+        # on line 100,002 is refused at that line
+        rng = random.Random("cli-fuzz:1e5")
+        n = 50_000
+        edges = {(v, v + 1) for v in range(n - 1)} | {(0, 2)}
+        while len(edges) < 100_000:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        lines = [f"graph {n}"] + [f"e {u} {v}" for u, v in sorted(edges)]
+        weights = ["w 1 3", "w 6709 3", "w 7211 3", "w 24092 3", "w 48819 2"]
+        good = tmp_path / "good.txt"
+        good.write_text("\n".join(lines + weights) + "\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines + ["e 1 0"] + weights) + "\n")
+        for cmd in ("classify", "bipartite", "equate"):
+            rc = main([cmd, str(good)])
+            out, err = capfd.readouterr()
+            assert (rc, err) == (0, ""), cmd
+            doc = json.loads(out)
+            assert out == json.dumps(doc, indent=2) + "\n", cmd
+            if cmd == "equate":
+                assert (doc["equatable"], doc["beta"]) == (True, 3)
+            rc = main([cmd, str(bad)])
+            out, err = capfd.readouterr()
+            assert rc == 2 and out == "" and "line 100002" in err, (cmd, err)

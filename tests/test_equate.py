@@ -31,6 +31,7 @@ from nodebalance.equate import (
 from nodebalance.matching import Dinic
 from support import (
     C6_PUZZLE_W,
+    CHAIN_TOP,
     NEAR_OFFSET,
     complete_graph,
     cycle_graph,
@@ -41,6 +42,7 @@ from support import (
     rand_graph,
     sparse_planned_instance,
     star_graph,
+    triangle_chain,
 )
 
 # the module itself: on the package, the name equate is the function
@@ -547,19 +549,31 @@ class TestMetamorphic:
                     for parity, cert in res.certificates.items():
                         assert_certifies(G, wc, parity, cert)
 
+    @staticmethod
+    def relabel_and_shift(G, w, rng, shift):
+        """equate on a feasible (G, w), on a relabelling of it and on
+        w + shift: beta moves by the shift alone, and every plan replays."""
+        base = equate(G, w)
+        assert apply_plan(G, w, base.plan) == (base.beta,) * G.n
+        for H, hw, c in ((*relabelled(rng, G, w), 0), (G, tuple(x + shift for x in w), shift)):
+            res = equate(H, hw)
+            assert res.beta == base.beta + c
+            assert apply_plan(H, hw, res.plan) == (res.beta,) * G.n
+        return base
+
     def test_relabel_and_shift_at_8001_vertices(self):
         # feasible; the plain and the shifted solve each run one parity
         # repair (n = 8000 rounds to a plan without one)
         G, w = sparse_planned_instance(8001)
-        base = equate(G, w)
-        assert apply_plan(G, w, base.plan) == (base.beta,) * G.n
-        for H, hw, shift in (
-            (*relabelled(random.Random("metamorphic:8001"), G, w), 0),
-            (G, tuple(x + HUGE for x in w), HUGE),
-        ):
-            res = equate(H, hw)
-            assert res.beta == base.beta + shift
-            assert apply_plan(H, hw, res.plan) == (res.beta,) * G.n
+        self.relabel_and_shift(G, w, random.Random("metamorphic:8001"), HUGE)
+
+    def test_relabel_and_shift_on_the_pendant_chain(self):
+        # n = 1,000: 333 triangles and a pendant whose weight is the
+        # answer; n is even, so the weight is even (an odd one fails parity)
+        top = CHAIN_TOP + 1
+        G, w = triangle_chain(333, pendant=True, top=top)
+        base = self.relabel_and_shift(G, w, random.Random("metamorphic:chain"), 10**15)
+        assert base.beta == top
 
 
 def relabelled(rng, G, w):
