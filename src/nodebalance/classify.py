@@ -13,10 +13,14 @@ pass over its residual arcs decide it and give a witness U.
 A bipartite graph with a fixed bipartition admits equalization from every
 *balanced* assignment (equal side totals) exactly when it satisfies the
 strict Hall condition: |N(X)| > |X| for every nonempty X properly
-contained in one side.  It holds iff deleting any vertex pair, one from
-each side, leaves a perfect matching; one matching of the graph,
-repaired by augmenting paths in each pair's graph, checks every pair.
-Definitional enumerations of both conditions are kept as references.
+contained in one side.  With equal sides of two or more vertices, that
+says the graph itself is elementary, so one Kuhn matching and one
+strong-component pass over its alternating digraph prove a positive
+answer.  A negative answer takes its witness from the first vertex pair,
+one from each side, whose deletion leaves no perfect matching; the same
+matching, repaired by augmenting paths in each pair's graph, checks the
+pairs.  Definitional enumerations of both conditions are kept as
+references.
 """
 
 from __future__ import annotations
@@ -208,6 +212,10 @@ class Bipartition(_Value):
         right = tuple(sorted(_as_int(v, "vertex id") for v in right))
         if set(left) & set(right):
             raise InstanceError("bipartition sides overlap")
+        for side in (left, right):
+            for a, b in zip(side, side[1:]):
+                if a == b:
+                    raise InstanceError(f"vertex {a} is listed twice in a bipartition side")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -260,20 +268,47 @@ def _unequal_sides_verdict(G: Graph, big: tuple[int, ...], small_len: int) -> Ha
 
 
 def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
-    """Strict Hall condition via pairwise deletion.
+    """Strict Hall condition: one strong-component pass for a positive
+    answer, pairwise deletion for a negative one.
 
-    For equal sides of size k >= 2, the condition holds iff for every
-    pair (u in L, v in R) the graph G - u - v has a perfect matching.
     Sides of unequal size fail outright (with a canonical witness) unless
     too small to contain a proper nonempty subset, in which case the
-    condition holds vacuously.
+    condition holds vacuously.  For equal sides of size k >= 2 the
+    condition holds iff G is elementary: it has a perfect matching M whose
+    alternating digraph D(M) is strongly connected (Lovasz and Plummer,
+    Matching Theory, section 4.1).  D(M) has an arc from left i to right
+    j along each edge outside M and one from each right vertex to its
+    mate.  Why, with M perfect: a nonempty node set C that no arc leaves,
+    with left part X and right part Y, has Y inside M(X) and every
+    neighbor of X inside Y or M(X), so N(X) = M(X) and
+    |N(R \\ Y)| <= |L \\ X| + |M(X) \\ Y| = |R \\ Y|.  X is empty only if C
+    is, so a proper C gives a witness: X if X != L, else R \\ Y if Y is
+    nonempty, else any one right vertex, whose only neighbor is its mate.
+    Conversely a violator X inside L has N(X) = M(X), and one Z inside R
+    has N(Z) = M(Z); then X + M(X), or (L \\ M(Z)) + (R \\ Z), is such a
+    proper C.  A strict Hall graph needs a perfect matching, since
+    |N(L)| >= |N(L - u)| >= k.  So one Kuhn matching M of G and one
+    _sink_component pass over D(M), which finds a component that no arc
+    leaves, decide a positive answer in O(k + m) beyond the matching.
 
-    One Kuhn matching M of G serves every pair.  For a pair, M without
-    the edges at u and v is a matching of G - u - v; Kuhn's augment runs
-    from each of its exposed left vertices other than u, with v marked
-    seen so that no path enters it (nor u, which no matched edge leads
-    to), and the pair passes iff every augment succeeds.  Two textbook
-    facts make this exact and keep the witness of the from-scratch check:
+    A negative answer keeps the witness of pairwise deletion: the
+    condition holds iff for every pair (u in L, v in R) the graph
+    G - u - v has a perfect matching, and the first failing pair gives
+    the witness.  A proper C would give a violator in linear time too,
+    but a different one, and a graph as long as the benchmark's
+    2,400-vertex ladder would then answer instead of exhausting the
+    recursion of kuhn_augment.  The benchmark checks a witness assignment
+    over all 2^k subsets of a side, so that move waits for a check that
+    runs in polynomial time (the benchmark item of ROADMAP.md).  When the
+    pass fails the pairs are scanned, and a scan in which every pair
+    passes contradicts the pass and raises InternalError.
+
+    M serves every pair.  For a pair, M without the edges at u and v is a
+    matching of G - u - v; Kuhn's augment runs from each of its exposed
+    left vertices other than u, with v marked seen so that no path enters
+    it (nor u, which no matched edge leads to), and the pair passes iff
+    every augment succeeds.  Two textbook facts make this exact and keep
+    the witness of the from-scratch check:
     - Kuhn's augmenting paths reach a maximum matching from any starting
       matching (Kuhn 1955).  An augment that fails from x certifies that
       no perfect matching exists: x is exposed, and with a perfect
@@ -302,6 +337,11 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     adj = [[rpos[y] for y in G.neighbors(x)] for x in L]
     ml, mr = matching.bipartite_matching(adj, k)
     exposed = [i for i, j in enumerate(ml) if j == -1]
+    if not exposed:
+        succ = [[k + j for j in row if j != ml[i]] for i, row in enumerate(adj)]
+        succ += [[i] for i in mr]
+        if len(_sink_component(succ, 0)) == 2 * k:
+            return HallVerdict(True)
     augment = matching.kuhn_augment
     for u in range(k):
         rest = [i for i in exposed if i != u]
@@ -320,7 +360,7 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
                 seen[v] = True
                 if not augment(adj, pl, pr, i, seen):
                     return _pair_witness(G, L, R, L[u], R[v])
-    return HallVerdict(True)
+    raise InternalError("every vertex pair passed, but the graph is not elementary")
 
 
 def _pair_witness(G: Graph, L: Sequence[int], R: Sequence[int], u: int, v: int) -> HallVerdict:

@@ -7,8 +7,9 @@ b-matching engine builds on blossom and Dinic, and Dinic runs on one
 kind of network only: the bipartite double cover of bmatch._double_cover,
 or one copy of it for a bipartite graph, which serves every engine probe
 and universal_equatable.  strict_hall builds one matching with Kuhn's
-bipartite_matching and repairs a copy of it for each vertex pair with
-the same augment, kuhn_augment.
+bipartite_matching; a positive answer needs nothing more from this
+module, and a negative one repairs a copy of it for each vertex pair
+with the same augment, kuhn_augment.
 
 That network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine
@@ -174,10 +175,6 @@ def maximum_matching(adj: Adjacency, start: Optional[Sequence[int]] = None) -> l
             match[pv] = u
             u = ppv
     return match
-
-
-def matching_size(match: Sequence[int]) -> int:
-    return sum(1 for v, u in enumerate(match) if u != -1 and u > v)
 
 
 def even_reachable(adj: Adjacency, match: list[int]) -> list[int]:

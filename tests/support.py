@@ -296,6 +296,11 @@ def backtrack_min_beta(G: Graph, w) -> int | None:
     return None
 
 
+def matching_size(match) -> int:
+    """Edges in a mate array of a general graph (-1 for exposed)."""
+    return sum(1 for v, u in enumerate(match) if u != -1 and u > v)
+
+
 def nx_graph(G: Graph):
     import networkx as nx
 

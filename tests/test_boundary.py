@@ -103,6 +103,17 @@ def test_vertex_id_type_checked_before_use(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "left, right, v", [([0, 1, 1], [2, 3], 1), ([0, 1], [3, 2, 3], 3)], ids=["left", "right"]
+)
+def test_repeated_bipartition_vertex_rejected(left, right, v):
+    # a repeated id used to pass: strict_hall on K_{2,2} then named the
+    # whole left side as its witness, and is_balanced miscounted the
+    # vertices instead of naming the repeat
+    with pytest.raises(InstanceError, match=f"vertex {v} is listed twice"):
+        Bipartition(left, right)
+
+
 # a bool would pass for 1, and "9" and 2.5 would escape as TypeError
 BAD_INTS = {"bool": True, "float": 2.5, "str": "9"}
 

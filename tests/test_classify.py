@@ -9,6 +9,7 @@ from nodebalance import (
     Bipartition,
     Graph,
     InstanceError,
+    InternalError,
     bipartition,
     equate,
     hall_witness_assignment,
@@ -21,7 +22,7 @@ from nodebalance import (
     strict_hall_enum,
     universal_equatable,
 )
-from nodebalance import matching
+from nodebalance import classify, matching
 from nodebalance.classify import _sink_component
 from support import (
     C6_PUZZLE_W,
@@ -279,8 +280,9 @@ class TestStrictHall:
 
 
 class TestStrictHallSharedMatching:
-    """strict_hall repairs one shared matching per pair; it must give the
-    verdict and witness of a matching built from scratch for each pair."""
+    """strict_hall answers yes from one strong-component pass and otherwise
+    repairs one shared matching per pair; it must give the verdict and
+    witness of a matching built from scratch for each pair."""
 
     def test_same_answers_as_from_scratch_pairs(self):
         rng = random.Random(3)
@@ -332,11 +334,58 @@ class TestStrictHallSharedMatching:
             pairs = a == b >= 2
             assert len(calls) == pairs * (1 + (not v.verdict))
 
+    def test_strong_component_pass_against_references(self):
+        # relabelled chorded even cycles are elementary; dropping edges
+        # from them, or drawing random graphs, leaves many graphs with a
+        # perfect matching whose alternating digraph is not strongly
+        # connected, which the pass hands on to the pair scan
+        workloads = load_bench("workloads")
+        rng = random.Random(21)
+        positive = handed_on = 0
+        for trial in range(1200):
+            k = rng.randint(2, 6)
+            if trial % 3 == 0:
+                G, part = rand_bipartite(rng, k, k, rng.choice((0.3, 0.5, 0.7, 0.9)))
+            else:
+                d = workloads.chorded_cycle(rng, k, rng.randint(0, k * k - 2 * k))
+                d = workloads.relabelled(rng, d)
+                edges = d["edges"]
+                if trial % 3 == 2:
+                    edges = rng.sample(edges, len(edges) - rng.randint(1, 3))
+                G, part = Graph(d["n"], edges), Bipartition(d["left"], d["right"])
+            v = strict_hall(G, part)
+            assert v == strict_hall_from_scratch(G, part)[0], (part, G.edges)
+            assert v.verdict == strict_hall_enum(G, part).verdict
+            rpos = {y: j for j, y in enumerate(part.right)}
+            adj = [[rpos[y] for y in G.neighbors(x)] for x in part.left]
+            perfect = -1 not in matching.bipartite_matching(adj, k)[0]
+            positive += v.verdict
+            handed_on += perfect and not v.verdict
+        assert min(positive, handed_on) >= 200, (positive, handed_on)
+
+    def test_pass_and_pair_scan_check_each_other(self, monkeypatch):
+        # a pass that wrongly finds a closed proper component sends a
+        # strict-Hall graph to the pair scan, where every pair passes
+        monkeypatch.setattr(classify, "_sink_component", lambda succ, root: [root])
+        with pytest.raises(InternalError, match="not elementary"):
+            strict_hall(C6, bipartition(C6))
+
     def test_c400_in_seconds(self):
         G = cycle_graph(400)
         start = time.perf_counter()
         assert strict_hall(G, bipartition(G)).verdict
         assert time.perf_counter() - start < 5
+
+    def test_c4000_and_chorded_k1000_under_a_second(self):
+        workloads = load_bench("workloads")
+        rng = random.Random(1000)
+        d = workloads.relabelled(rng, workloads.chorded_cycle(rng, 1000, 500))
+        C = cycle_graph(4000)
+        for G, part in ((C, bipartition(C)),
+                        (Graph(d["n"], d["edges"]), Bipartition(d["left"], d["right"]))):
+            start = time.perf_counter()
+            assert strict_hall(G, part).verdict
+            assert time.perf_counter() - start < 1
 
 
 class TestHallWitnessAssignment:

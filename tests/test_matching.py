@@ -12,13 +12,13 @@ from nodebalance.matching import (
     even_reachable,
     greedy_matching,
     left_deficient_set,
-    matching_size,
     maximum_matching,
 )
 from support import (
     assert_same_flow,
     complete_graph,
     cycle_graph,
+    matching_size,
     nx_graph,
     path_graph,
     rand_graph,
