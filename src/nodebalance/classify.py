@@ -17,10 +17,11 @@ contained in one side.  With equal sides of two or more vertices, that
 says the graph itself is elementary, so one Kuhn matching and one
 strong-component pass over its alternating digraph prove a positive
 answer.  A negative answer takes its witness from the first vertex pair,
-one from each side, whose deletion leaves no perfect matching; the same
-matching, repaired by augmenting paths in each pair's graph, checks the
-pairs.  Definitional enumerations of both conditions are kept as
-references.
+one from each side, whose deletion leaves no perfect matching.  That one
+matching serves the whole call: a copy of it, repaired by augmenting
+paths in each pair's graph, checks the pair, and the first failing
+pair's copy gives the witness.  Definitional enumerations of both
+conditions are kept as references.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 from . import matching
 from .bmatch import (
     ENUM_LIMIT,
+    _check_subset,
     _cover_cut,
     _double_cover,
     _neighborhood,
@@ -303,26 +305,28 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     pass fails the pairs are scanned, and a scan in which every pair
     passes contradicts the pass and raises InternalError.
 
-    M serves every pair.  For a pair, M without the edges at u and v is a
-    matching of G - u - v; Kuhn's augment runs from each of its exposed
-    left vertices other than u, with v marked seen so that no path enters
-    it (nor u, which no matched edge leads to), and the pair passes iff
-    every augment succeeds.  Two textbook facts make this exact and keep
-    the witness of the from-scratch check:
-    - Kuhn's augmenting paths reach a maximum matching from any starting
-      matching (Kuhn 1955).  An augment that fails from x certifies that
-      no perfect matching exists: x is exposed, and with a perfect
-      matching P the component of x in the symmetric difference with P
-      would be an augmenting path from x.
+    M serves every pair, and the pair's check leaves its witness.  For a
+    pair, a copy of M without the edges at u and v is a matching of
+    G - u - v.  u is held off the exposed side (any value but -1 as its
+    mate) and v is marked seen in every search, so no path enters either:
+    no matched edge leads to u, and v stays exposed but is a dead end.
+    Kuhn's augment then runs once from each exposed left vertex,
+    ascending, and the pair fails iff one is still exposed after the pass.
+    Two textbook facts make this exact:
+    - One pass of Kuhn's augments from any starting matching leaves a
+      maximum matching (Kuhn 1955): a vertex with no augmenting path
+      keeps none after augments elsewhere.  So the copy is a maximum
+      matching of G - u - v, and it is perfect iff G - u - v has one.
     - The left vertices that alternating paths reach from the exposed
       ones are the same for every maximum matching (Lovasz and Plummer,
       Matching Theory, section 3.2; Gallai-Edmonds, Dulmage-Mendelsohn).
     Pairs are scanned u-major, both sides ascending, and whether a pair
     passes depends on G - u - v alone, so the first failing pair does not
     depend on how the pairs are decided.  Its witness is
-    matching.left_deficient_set on a maximum matching of G - u - v built
-    from scratch; by the second fact it is the same set whichever maximum
-    matching it is read from.
+    matching.left_deficient_set read off the repaired copy, which by the
+    second fact is the set any maximum matching of G - u - v gives.  That
+    set X is nonempty and inside L - u, so |X| < k, and |N(X)| < |X| in
+    G - u - v; deleting v hid at most one neighbor, so |N(X)| <= |X| in G.
     """
     part.validate_for(G)
     L, R = part.left, part.right
@@ -336,46 +340,31 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     rpos = {y: j for j, y in enumerate(R)}
     adj = [[rpos[y] for y in G.neighbors(x)] for x in L]
     ml, mr = matching.bipartite_matching(adj, k)
-    exposed = [i for i, j in enumerate(ml) if j == -1]
-    if not exposed:
+    if -1 not in ml:
         succ = [[k + j for j in row if j != ml[i]] for i, row in enumerate(adj)]
         succ += [[i] for i in mr]
         if len(_sink_component(succ, 0)) == 2 * k:
             return HallVerdict(True)
     augment = matching.kuhn_augment
     for u in range(k):
-        rest = [i for i in exposed if i != u]
         for v in range(k):
             pl, pr = ml[:], mr[:]
             j = pl[u]
             if j != -1:
-                pl[u] = pr[j] = -1
-            todo = rest
+                pr[j] = -1
+            pl[u] = k
             i = pr[v]
             if i != -1:
                 pl[i] = pr[v] = -1
-                todo = rest + [i]
-            for i in todo:
-                seen = [False] * k
-                seen[v] = True
-                if not augment(adj, pl, pr, i, seen):
-                    return _pair_witness(G, L, R, L[u], R[v])
+            for i in range(k):
+                if pl[i] == -1:
+                    seen = [False] * k
+                    seen[v] = True
+                    augment(adj, pl, pr, i, seen)
+            if -1 in pl:
+                deficient = matching.left_deficient_set(adj, pl, pr)
+                return HallVerdict(False, tuple(L[i] for i in deficient))
     raise InternalError("every vertex pair passed, but the graph is not elementary")
-
-
-def _pair_witness(G: Graph, L: Sequence[int], R: Sequence[int], u: int, v: int) -> HallVerdict:
-    """Hall witness of G from a pair (u, v) whose G - u - v has no perfect
-    matching: the deficient set of a maximum matching of G - u - v."""
-    lefts = [x for x in L if x != u]
-    rights = [y for y in R if y != v]
-    rpos = {y: i for i, y in enumerate(rights)}
-    adj = [[rpos[y] for y in G.neighbors(x) if y != v] for x in lefts]
-    ml, mr = matching.bipartite_matching(adj, len(rights))
-    # the deficient set X is nonempty and inside L minus u, so |X| < k,
-    # and |N(X)| < |X| in G - u - v; deleting v hid at most one neighbor,
-    # so |N(X)| <= |X| in G
-    deficient = matching.left_deficient_set(adj, ml, mr)
-    return HallVerdict(False, tuple(lefts[i] for i in deficient))
 
 
 def strict_hall_enum(G: Graph, part: Bipartition) -> HallVerdict:
@@ -406,7 +395,7 @@ def hall_witness_assignment(
     balanced by construction (one unit per side).
     """
     part.validate_for(G)
-    tx = tuple(sorted({_as_int(v, "vertex id") for v in X}))
+    tx = _check_subset(X, G.n)
     if not tx:
         raise InstanceError("witness X must be nonempty")
     lset, rset = set(part.left), set(part.right)

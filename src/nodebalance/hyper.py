@@ -191,8 +191,15 @@ def hyper_equate(
 
     Hyperedges with equal member sets are merged before elimination and
     search: copies add nothing a plan needs, only search width.  The plan
-    keys each set by its lowest index in H.
+    keys each set by its lowest index in H.  H must be a Hypergraph: a
+    Graph is rejected before any work, since the plan is keyed by
+    hyperedge index; wrap it as Hypergraph(G.n, G.edges).
     """
+    if not isinstance(H, Hypergraph):
+        raise InstanceError(
+            f"hyper_equate needs a Hypergraph, got {type(H).__name__}; "
+            "wrap a graph G as Hypergraph(G.n, G.edges)"
+        )
     tw = check_weights(w, H.n)
     if H.m > MAX_EDGES:
         raise BudgetError("edge budget exceeded", edges=H.m, limit=MAX_EDGES)

@@ -6,10 +6,11 @@ by Kuhn's augmenting paths, and Dinic's max flow (Dinic 1970).  The
 b-matching engine builds on blossom and Dinic, and Dinic runs on one
 kind of network only: the bipartite double cover of bmatch._double_cover,
 or one copy of it for a bipartite graph, which serves every engine probe
-and universal_equatable.  strict_hall builds one matching with Kuhn's
-bipartite_matching; a positive answer needs nothing more from this
-module, and a negative one repairs a copy of it for each vertex pair
-with the same augment, kuhn_augment.
+and universal_equatable.  strict_hall builds one matching per call with
+Kuhn's bipartite_matching; a positive answer needs nothing more from
+this module, and a negative one repairs a copy of it for each vertex
+pair with the same augment, kuhn_augment, and reads the witness off the
+first failing pair's copy with left_deficient_set.
 
 That network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine

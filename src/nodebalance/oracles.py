@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .bmatch import ENUM_LIMIT, check_tutte_enumeration
 from .core import Graph, Hypergraph, IncrementPlan, _as_int, check_weights, is_uniform
-from .equate import _parities
+from .equate import _parities, _parity_bit
 from .errors import BudgetError, InstanceError
 from .hyper import _backtrack
 
@@ -40,7 +40,7 @@ def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
     parities = _parities(G.n, tw)
     if not parities:
         return None
-    bits = {0 if p == "even" else 1 for p in parities}
+    bits = {_parity_bit(p) for p in parities}
     maxw = max(tw)
     targets = (G.n - 1) * maxw + 1
     if targets > MAX_TARGETS:

@@ -31,6 +31,7 @@ from nodebalance import (
     verify_plan_perfect,
     violating_set,
 )
+from nodebalance import hyper
 from nodebalance.bmatch import BMatchEngine
 from support import path_graph, rand_graph
 
@@ -130,6 +131,18 @@ INT_TAKERS = {
 def test_bad_int_rejected(fn, bad):
     with pytest.raises(InstanceError):
         INT_TAKERS[fn](BAD_INTS[bad])
+
+
+def test_hyper_equate_rejects_a_graph_before_searching(monkeypatch):
+    # a Graph used to run the whole search and then fail its own replay
+    # with "graph plan keyed by index 2"
+    def no_search(*args):
+        raise AssertionError("searched a Graph")
+
+    monkeypatch.setattr(hyper, "_backtrack", no_search)
+    K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InstanceError, match=r"Hypergraph\(G\.n, G\.edges\)"):
+        hyper_equate(K3, (1, 0, 0))
 
 
 # a graph edge, a graph plan key and a plan entry are pairs; a bare int
