@@ -292,6 +292,9 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     |N(L)| >= |N(L - u)| >= k.  So one Kuhn matching M of G and one
     _sink_component pass over D(M), which finds a component that no arc
     leaves, decide a positive answer in O(k + m) beyond the matching.
+    That bound needs a matching that is not quadratic by construction:
+    its searches share one seen array with a fresh mark each, so each
+    costs what it explores, not k.
 
     A negative answer keeps the witness of pairwise deletion: the
     condition holds iff for every pair (u in L, v in R) the graph
@@ -312,6 +315,8 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     no matched edge leads to u, and v stays exposed but is a dead end.
     Kuhn's augment then runs once from each exposed left vertex,
     ascending, and the pair fails iff one is still exposed after the pass.
+    The whole scan shares one seen array: each augment takes a new mark
+    and pre-marks v with it, so no array is built or reset per augment.
     Two textbook facts make this exact:
     - One pass of Kuhn's augments from any starting matching leaves a
       maximum matching (Kuhn 1955): a vertex with no augmenting path
@@ -346,6 +351,8 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
         if len(_sink_component(succ, 0)) == 2 * k:
             return HallVerdict(True)
     augment = matching.kuhn_augment
+    seen = [0] * k
+    mark = 0
     for u in range(k):
         for v in range(k):
             pl, pr = ml[:], mr[:]
@@ -358,9 +365,9 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
                 pl[i] = pr[v] = -1
             for i in range(k):
                 if pl[i] == -1:
-                    seen = [False] * k
-                    seen[v] = True
-                    augment(adj, pl, pr, i, seen)
+                    mark += 1
+                    seen[v] = mark
+                    augment(adj, pl, pr, i, seen, mark)
             if -1 in pl:
                 deficient = matching.left_deficient_set(adj, pl, pr)
                 return HallVerdict(False, tuple(L[i] for i in deficient))
@@ -398,17 +405,17 @@ def hall_witness_assignment(
     tx = _check_subset(X, G.n)
     if not tx:
         raise InstanceError("witness X must be nonempty")
-    lset, rset = set(part.left), set(part.right)
-    if set(tx) < lset:
+    inside = set(tx)
+    if inside < set(part.left):
         side, other = part.left, part.right
-    elif set(tx) < rset:
+    elif inside < set(part.right):
         side, other = part.right, part.left
     else:
         raise InstanceError("X must be properly contained in one side")
     nbh = sorted(_neighborhood(G, tx))
     if len(nbh) > len(tx):
         raise InstanceError("X does not violate the strict Hall condition")
-    v = min(x for x in side if x not in set(tx))
+    v = min(x for x in side if x not in inside)
     if nbh:
         u = nbh[0]
     else:

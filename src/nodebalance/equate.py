@@ -96,8 +96,11 @@ def constraint_bound(
     never.  S must have been computed at a probe of the given parity (it
     is parity-invariant within the class).
     """
-    s = u_size - isolated_size
-    c = u_weight - isolated_weight + s_odd
+    return _bound(u_size - isolated_size, u_weight - isolated_weight + s_odd, parity)
+
+
+def _bound(s: int, c: int, parity: str) -> BoundCase:
+    """The BoundCase of s*beta >= c within a parity class."""
     if s == 0:
         return BoundCase("always") if c <= 0 else BoundCase("never")
     if s > 0:
@@ -114,15 +117,12 @@ class ParityOutcome(_Value):
     certificate: Optional[ViolatingSet] = None
 
 
-def _classify(cert: ViolatingSet, w: Sequence[int], parity: str) -> BoundCase:
-    return constraint_bound(
-        len(cert.U),
-        len(cert.isolated),
-        sum(w[v] for v in cert.U),
-        sum(w[v] for v in cert.isolated),
-        cert.s_count,
-        parity,
-    )
+def _classify(cert: ViolatingSet, beta: int, parity: str) -> BoundCase:
+    """constraint_bound of a certificate verified at b = beta - w.  There
+    its deficiency b(I(U)) + S - b(U) equals c - s*beta, so c is read off
+    it without summing w over U and I(U)."""
+    s = len(cert.U) - len(cert.isolated)
+    return _bound(s, cert.deficiency + s * beta, parity)
 
 
 def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcome:
@@ -188,7 +188,7 @@ def _search(
         if out.feasible:
             return beta, out.plan, {}
         cert = out.witness
-        case = _classify(cert, w, parity)
+        case = _classify(cert, beta, parity)
         if case.kind == "at_least" and case.beta <= guard:
             # a violation at beta means s*beta < c for its constraint s*beta >= c
             if case.beta <= beta:

@@ -10,7 +10,10 @@ and universal_equatable.  strict_hall builds one matching per call with
 Kuhn's bipartite_matching; a positive answer needs nothing more from
 this module, and a negative one repairs a copy of it for each vertex
 pair with the same augment, kuhn_augment, and reads the witness off the
-first failing pair's copy with left_deficient_set.
+first failing pair's copy with left_deficient_set.  The searches of one
+call share one seen array, each with a fresh mark, so a search costs
+what it explores, not k; a matching whose searches stay short, as on a
+cycle, is no longer quadratic.
 
 That network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine
@@ -200,19 +203,25 @@ def even_reachable(adj: Adjacency, match: list[int]) -> list[int]:
     return [v for v in range(n) if outer[v]]
 
 
-def kuhn_augment(adj_lr: Adjacency, ml: list[int], mr: list[int], i: int, seen: list[bool]) -> bool:
+def kuhn_augment(
+    adj_lr: Adjacency, ml: list[int], mr: list[int], i: int, seen: list[int], mark: int
+) -> bool:
     """Kuhn's augmenting-path search from the exposed left vertex i.
 
-    Walks the right neighbors of i in adjacency order, skipping those
-    marked in seen and marking each one it enters; on finding an
-    augmenting path it flips it into ml/mr and returns True.  A caller
-    can pre-mark right vertices in seen to keep them off every path.
-    Recursive, one frame per left vertex on the path.
+    Right vertex j counts as seen in this search iff seen[j] == mark.
+    The search walks the right neighbors of i in adjacency order,
+    skipping the seen ones and marking each one it enters; on finding an
+    augmenting path it flips it into ml/mr and returns True.  One seen
+    array serves many searches: a caller gives each search a mark that
+    no entry holds yet, so no entry is ever reset and a search costs
+    what it explores.  A caller can pre-mark right vertices with the
+    search's mark to keep them off every path.  Recursive, one frame per
+    left vertex on the path.
     """
     for j in adj_lr[i]:
-        if not seen[j]:
-            seen[j] = True
-            if mr[j] == -1 or kuhn_augment(adj_lr, ml, mr, mr[j], seen):
+        if seen[j] != mark:
+            seen[j] = mark
+            if mr[j] == -1 or kuhn_augment(adj_lr, ml, mr, mr[j], seen, mark):
                 ml[i] = j
                 mr[j] = i
                 return True
@@ -223,13 +232,16 @@ def bipartite_matching(adj_lr: Adjacency, n_right: int) -> tuple[list[int], list
     """Maximum matching in a bipartite graph by Kuhn's augmenting paths.
 
     adj_lr[i] lists the right-side indices adjacent to left vertex i.
-    Returns (match_left, match_right) with -1 for exposed vertices.
+    Returns (match_left, match_right) with -1 for exposed vertices.  One
+    seen array serves the whole call, the search from i marking with
+    i + 1, so the call costs what its searches explore.
     """
     nl = len(adj_lr)
     ml = [-1] * nl
     mr = [-1] * n_right
+    seen = [0] * n_right
     for i in range(nl):
-        kuhn_augment(adj_lr, ml, mr, i, [False] * n_right)
+        kuhn_augment(adj_lr, ml, mr, i, seen, i + 1)
     return ml, mr
 
 

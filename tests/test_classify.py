@@ -391,6 +391,52 @@ class TestStrictHallSharedMatching:
             assert strict_hall(G, part).verdict
             assert time.perf_counter() - start < 1
 
+    def test_c100000_under_a_second(self):
+        # every search marks one shared seen array, so the matching costs
+        # what its searches explore, not k^2
+        G = cycle_graph(100_000)
+        part = bipartition(G)
+        start = time.perf_counter()
+        assert strict_hall(G, part).verdict
+        assert time.perf_counter() - start < 1
+
+    def test_one_seen_array_per_call(self, monkeypatch):
+        # each search records its seen array, and whether it ran inside
+        # bipartite_matching or in strict_hall's pair scan; the list keeps
+        # every array alive, so distinct arrays have distinct ids
+        real_augment, real_matching = matching.kuhn_augment, matching.bipartite_matching
+        searches = []
+        inside = [False]
+
+        def augment(adj, ml, mr, i, seen, *mark):
+            searches.append((inside[0], seen))
+            return real_augment(adj, ml, mr, i, seen, *mark)
+
+        def bipartite_matching(adj, n_right):
+            inside[0] = True
+            try:
+                return real_matching(adj, n_right)
+            finally:
+                inside[0] = False
+
+        def arrays(in_matching):
+            return len({id(seen) for where, seen in searches if where == in_matching})
+
+        P = path_graph(400)
+        ref = strict_hall_from_scratch(P, bipartition(P))[0]
+        monkeypatch.setattr(matching, "kuhn_augment", augment)
+        monkeypatch.setattr(matching, "bipartite_matching", bipartite_matching)
+        C = cycle_graph(400)
+        adj = [[(y - 1) // 2 for y in C.neighbors(x)] for x in range(0, 400, 2)]
+        matching.bipartite_matching(adj, 200)
+        assert len(searches) >= 200 and arrays(True) == 1
+        # on P_400 the pairs (0, v) pass with one search each, then (2, 1)
+        # fails: one array for the matching and one for the whole scan
+        searches.clear()
+        assert strict_hall(P, bipartition(P)) == ref
+        scan = sum(not where for where, _ in searches)
+        assert scan >= 200 and arrays(True) == 1 and arrays(False) == 1, scan
+
 
 class TestHallWitnessAssignment:
     def test_p4(self):
@@ -430,6 +476,18 @@ class TestHallWitnessAssignment:
             hall_witness_assignment(P4, part, ())
         with pytest.raises(InstanceError):
             hall_witness_assignment(P4, part, (0, 2))
+
+    def test_side_of_20000_under_a_second(self):
+        # P_40000 with X every left vertex but the last: N(X) is the whole
+        # right side less 39999, |N(X)| = |X|, and the lowest left vertex
+        # outside X is the last one scanned
+        G = path_graph(40_000)
+        part = bipartition(G)
+        X = part.left[:-1]
+        start = time.perf_counter()
+        w = hall_witness_assignment(G, part, X)
+        assert time.perf_counter() - start < 1
+        assert [v for v in range(G.n) if w[v]] == [1, 39_998]
 
     def test_degenerate_empty_other_side(self):
         G = Graph(2, [])
