@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import matching
-from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector, _Value
+from .core import Graph, IncrementPlan, _apply_plan, _as_int, _check_vector, _Value, check_graph
 from .errors import BudgetError, InstanceError, InternalError
 
 # hard budgets for the expansion construction
@@ -105,18 +105,21 @@ def _neighborhood(G: Graph, X: Iterable[int]) -> set[int]:
 def isolated_vertices(G: Graph, U: Iterable[int]) -> tuple[int, ...]:
     """I(U): vertices outside U whose neighbors all lie inside U.  With
     U empty this is the set of isolated vertices of G itself."""
+    check_graph(G, "isolated_vertices")
     return _tutte_terms(G, _check_subset(U, G.n), (0,) * G.n)[0]
 
 
 def s_count(G: Graph, U: Iterable[int], b: Iterable[int]) -> int:
     """S(G-U): number of components of G-U that have at least two vertices
     and odd total b."""
+    check_graph(G, "s_count")
     return _tutte_terms(G, _check_subset(U, G.n), check_bvector(b, G.n))[1]
 
 
 def tutte_deficiency(G: Graph, U: Iterable[int], b: Iterable[int]) -> int:
     """sum_{I(U)} b + S(G-U) - sum_U b.  Positive means U certifies that no
     perfect b-matching exists."""
+    check_graph(G, "tutte_deficiency")
     return _tutte_terms(G, _check_subset(U, G.n), check_bvector(b, G.n))[2]
 
 
@@ -151,6 +154,7 @@ def _certificate(
 def violating_set(G: Graph, U: Iterable[int], b: Iterable[int]) -> ViolatingSet:
     """Build the certificate at U, recomputing every field from the
     definition.  Raises if U does not actually violate the condition."""
+    check_graph(G, "violating_set")
     tu = _check_subset(U, G.n)
     tb = check_bvector(b, G.n)
     iso, s, d = _tutte_terms(G, tu, tb)
@@ -186,6 +190,7 @@ def check_tutte_enumeration(G: Graph, b: Iterable[int]) -> Optional[ViolatingSet
     ties broken by canonical order.  Raises BudgetError above ENUM_LIMIT
     vertices.
     """
+    check_graph(G, "check_tutte_enumeration")
     tb = check_bvector(b, G.n)
     if G.n > ENUM_LIMIT:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
@@ -207,6 +212,7 @@ def expand_graph(G: Graph, b: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     original vertex of copy i.  Raises BudgetError when sum(b) exceeds
     MAX_SUM_B or the copied edges exceed MAX_EDGE_COPIES.
     """
+    check_graph(G, "expand_graph")
     tb = check_bvector(b, G.n)
     _check_budget(G, tb)
     adj, copy_of = _expand(G, tb)
@@ -243,6 +249,7 @@ def solve_bmatching_expansion(G: Graph, b: Iterable[int]) -> Optional[IncrementP
     """Construct a perfect b-matching by maximum matching on the expansion,
     or return None if the expansion has no perfect matching.  The
     expansion budgets of expand_graph apply."""
+    check_graph(G, "solve_bmatching_expansion")
     tb = check_bvector(b, G.n)
     _check_budget(G, tb)
     adj, copy_of = _expand(G, tb)
@@ -267,6 +274,7 @@ def _expansion_plan(
 def verify_plan_perfect(G: Graph, b: Iterable[int], plan: IncrementPlan) -> bool:
     """True iff the plan's multiplicities sum to exactly b(v) at every
     vertex."""
+    check_graph(G, "verify_plan_perfect")
     return _plan_is_perfect(G, check_bvector(b, G.n), plan)
 
 
@@ -337,7 +345,8 @@ def _cover_cut(G: Graph, level: Sequence[int]) -> list[int]:
     right copies of N(A).  A\\N(A) spans a cut no larger (its neighbours
     lie in N(A)\\A), so A is stable, b(A) > b(N(A)), and U = N(A), which
     isolates A, violates.  On one copy of a bipartite graph A is the
-    reached part of side 0."""
+    reached part of side 0.  universal_equatable passes the reach of
+    matching.unit_matching, which marks the same left copies."""
     return sorted(_neighborhood(G, (v for v in range(G.n) if level[v] >= 0)))
 
 
@@ -395,6 +404,7 @@ class BMatchEngine:
     before calling it)."""
 
     def __init__(self, G: Graph):
+        check_graph(G, "BMatchEngine")
         self.G = G
         self.n = G.n
         self.colors = _two_color(G)
@@ -522,6 +532,7 @@ class BMatchEngine:
 def decide_perfect_bmatching(G: Graph, b: Iterable[int]) -> bool:
     """Whether a perfect b-matching exists: the feasible flag of
     perfect_bmatching, whose solve builds and replays the plan anyway."""
+    check_graph(G, "decide_perfect_bmatching")
     return perfect_bmatching(G, b).feasible
 
 
@@ -531,5 +542,6 @@ def perfect_bmatching(G: Graph, b: Iterable[int]) -> BMatchOutcome:
     of it when G is bipartite).  On a graph with an odd cycle the parity
     repair expands at most 4m + n copies whatever b is, and the budgets
     of expand_graph do not apply to it.  One BMatchEngine.decide call."""
+    check_graph(G, "perfect_bmatching")
     tb = check_bvector(b, G.n)
     return BMatchEngine(G).decide(tb)

@@ -7,8 +7,11 @@ vertices when deleted.  For a connected graph that is the same as its
 bipartite double cover (copies v_L, v_R of each vertex, u_L v_R and v_L u_R
 for each edge uv) being elementary: no nonempty independent S has
 |N(S)| <= |S|, and S = I(U) or U = N(S) turns either violation into the
-other.  One unit-demand max flow on the cover and one strong-component
-pass over its residual arcs decide it and give a witness U.
+other.  One maximum matching of the cover, matching.unit_matching on
+G's own adjacency lists, and one strong-component pass over its
+alternating digraph decide it and give a witness U.  That matching is
+the one a unit-demand Dinic flow on the cover leaves, so the verdicts
+and witnesses are those of the flow.
 
 A bipartite graph with a fixed bipartition admits equalization from every
 *balanced* assignment (equal side totals) exactly when it satisfies the
@@ -34,28 +37,29 @@ from .bmatch import (
     ENUM_LIMIT,
     _check_subset,
     _cover_cut,
-    _double_cover,
     _neighborhood,
     _tutte_terms,
     _two_color,
 )
-from .core import Graph, Weights, _as_int, _Value, check_weights
+from .core import Graph, Weights, _as_int, _Value, check_graph, check_weights
 from .errors import BudgetError, InstanceError, InternalError
 
 
 def is_connected(G: Graph) -> bool:
     """True iff G has exactly one connected component.  Needs n >= 1."""
+    check_graph(G, "is_connected")
     if G.n < 1:
         raise InstanceError("connectivity needs at least one vertex")
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in G.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == G.n
+    adj = G._adj
+    seen = [False] * G.n
+    seen[0] = True
+    reached = [0]
+    for v in reached:  # a breadth-first scan: the loop reaches what it appends
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                reached.append(u)
+    return len(reached) == G.n
 
 
 def isolated_condition_enum(G: Graph) -> Optional[tuple[int, ...]]:
@@ -63,6 +67,7 @@ def isolated_condition_enum(G: Graph) -> Optional[tuple[int, ...]]:
     whose deletion isolates at least |U| vertices, or None.  I(U) is read
     from bmatch._tutte_terms.  Raises BudgetError above ENUM_LIMIT
     vertices."""
+    check_graph(G, "isolated_condition_enum")
     if G.n > ENUM_LIMIT:
         raise BudgetError("enumeration limit exceeded", n=G.n, limit=ENUM_LIMIT)
     zeros = (0,) * G.n
@@ -80,6 +85,7 @@ def independent_set_condition(G: Graph) -> Optional[tuple[int, ...]]:
     with no isolated vertices and n >= 2; under that restriction the
     outcome matches isolated_condition_enum.  Raises BudgetError above
     ENUM_LIMIT vertices."""
+    check_graph(G, "independent_set_condition")
     if G.n < 2:
         raise InstanceError("independent-set check needs n >= 2")
     if any(G.degree(v) == 0 for v in range(G.n)):
@@ -119,12 +125,24 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
 
     Fast negatives: disconnected, or even vertex count.  Graphs with at
     most one vertex are trivially universal: every assignment is already
-    uniform.  Otherwise one unit-demand max flow on the bipartite double
-    cover (bmatch._double_cover) and one strong-component pass over its
-    residual arcs decide it: G is universal iff the cover is elementary,
-    i.e. has a perfect matching whose alternating digraph is strongly
-    connected, i.e. |N(X)| > |X| for every nonempty proper X (Lovasz and
-    Plummer, Matching Theory, section 4.1).
+    uniform.  Otherwise one maximum matching of the bipartite double
+    cover and one strong-component pass over its alternating digraph
+    decide it: G is universal iff the cover is elementary, i.e. has a
+    perfect matching whose alternating digraph is strongly connected,
+    i.e. |N(X)| > |X| for every nonempty proper X (Lovasz and Plummer,
+    Matching Theory, section 4.1).
+
+    The cover matches left copies against right copies along G's
+    adjacency lists, so matching.unit_matching(G._adj, n) computes it by
+    Hopcroft and Karp's phases.  It leaves exactly the matching of
+    Dinic's unit-demand flow on bmatch._double_cover, whose arcs a_L ->
+    c_R it lists in the same ascending order: its greedy pass is
+    Dinic's first phase, each BFS builds Dinic's layered graph in
+    Dinic's queue order and stops where Dinic stops, each search runs
+    from the exposed lefts in ascending order along the same current-arc
+    pointers, and a node leaves the layered graph only once it cannot
+    reach t.  unit_matching's docstring gives each step.  The residual
+    arcs and the levels of a failing BFS below are therefore the flow's.
 
     Why that is the isolation condition, for connected G with n >= 2: a
     nonempty U isolating |U| or more vertices gives S = I(U), nonempty,
@@ -136,37 +154,38 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
     N(X) would lie inside X and G would be disconnected.  Then U = N(S) is
     the witness: nonempty, and it isolates all of S.
 
-    X comes from the flow and is already independent, so S = X and the
-    witness is U = N(X) (bmatch._cover_cut).  A short flow leaves the
-    reachable left copies X, with fewer than |X| right copies reachable;
-    _cover_cut argues that X is independent, and X = V is ruled out
-    because N(V) = V.  A full flow is a perfect matching, and its residual
-    arcs (u_L->v_R along every edge, v_R back to its matched left copy)
-    form the alternating digraph.  The strong component found first has
-    no residual arc leaving it, so its right copies are those of N(X),
-    for X its left copies, each matched into X.  X is nonempty (a right
-    copy brings its matched left copy) and proper (X = V would bring in
-    every right copy, and then the whole digraph).  By the count above
-    |N(S)| <= |S|, and the perfect matching makes it an equality, so the
-    copies of S and N(S) are closed under residual arcs; S is nonempty,
-    so they are the whole component and S = X.
+    X comes from the matching and is already independent, so S = X and
+    the witness is U = N(X) (bmatch._cover_cut).  A short matching leaves
+    the reachable left copies X, those of the last BFS, with fewer than
+    |X| right copies reachable; _cover_cut argues that X is independent,
+    and X = V is ruled out because N(V) = V.  A perfect matching's
+    residual arcs (u_L->v_R along every edge, v_R back to its matched
+    left copy) form the alternating digraph.  The strong component found
+    first has no residual arc leaving it, so its right copies are those
+    of N(X), for X its left copies, each matched into X.  X is nonempty
+    (a right copy brings its matched left copy) and proper (X = V would
+    bring in every right copy, and then the whole digraph).  By the count
+    above |N(S)| <= |S|, and the perfect matching makes it an equality,
+    so the copies of S and N(S) are closed under residual arcs; S is
+    nonempty, so they are the whole component and S = X.
     """
+    check_graph(G, "universal_equatable")
     if G.n <= 1:
         return UniversalVerdict(True)
     if not is_connected(G):
         return UniversalVerdict(False, "disconnected")
     if G.n % 2 == 0:
         return UniversalVerdict(False, "even_order")
-    net = _double_cover(G)
-    if net.max_flow((1,) * G.n) < G.n:
-        reach = net.level
-    else:
-        comp = _sink_component(net.residual_graph(), 0)
-        if len(comp) == 2 * G.n:
+    n, adj = G.n, G._adj
+    _, mr, reach = matching.unit_matching(adj, n)
+    if reach is None:
+        succ = [[n + c for c in row] for row in adj] + [[a] for a in mr]
+        comp = _sink_component(succ, 0)
+        if len(comp) == 2 * n:
             return UniversalVerdict(True)
-        reach = [-1] * G.n
+        reach = [-1] * n
         for v in comp:
-            if v < G.n:
+            if v < n:
                 reach[v] = 0
     return UniversalVerdict(False, "isolated_condition", tuple(_cover_cut(G, reach)))
 
@@ -233,6 +252,7 @@ class Bipartition(_Value):
 def bipartition(G: Graph) -> Optional[Bipartition]:
     """Canonical 2-coloring: the lowest-id vertex of each component goes
     to the left side.  None when G has an odd cycle."""
+    check_graph(G, "bipartition")
     color = _two_color(G)
     if color is None:
         return None
@@ -333,6 +353,7 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     set X is nonempty and inside L - u, so |X| < k, and |N(X)| < |X| in
     G - u - v; deleting v hid at most one neighbor, so |N(X)| <= |X| in G.
     """
+    check_graph(G, "strict_hall")
     part.validate_for(G)
     L, R = part.left, part.right
     if len(L) != len(R):
@@ -378,6 +399,7 @@ def strict_hall_enum(G: Graph, part: Bipartition) -> HallVerdict:
     """Reference method: enumerate every nonempty proper subset of each
     side (left side first, by size then lexicographically) and test
     |N(X)| > |X| directly."""
+    check_graph(G, "strict_hall_enum")
     part.validate_for(G)
     for side in (part.left, part.right):
         for size in range(1, len(side)):
@@ -401,6 +423,7 @@ def hall_witness_assignment(
     marked vertices can never be caught up by X, and the assignment stays
     balanced by construction (one unit per side).
     """
+    check_graph(G, "hall_witness_assignment")
     part.validate_for(G)
     tx = _check_subset(X, G.n)
     if not tx:

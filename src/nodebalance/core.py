@@ -200,6 +200,18 @@ class Hypergraph(_Value):
 
 Host = Union[Graph, Hypergraph]
 
+
+def check_graph(G: object, caller: str) -> None:
+    """Reject a host that is not a Graph before any work.  The graph-only
+    functions read a graph's adjacency, which a Hypergraph does not have;
+    hyper_equate is the one that takes a hypergraph."""
+    if not isinstance(G, Graph):
+        raise InstanceError(
+            f"{caller} needs a Graph, got {type(G).__name__}; "
+            "hyper_equate takes a Hypergraph"
+        )
+
+
 # Plans key graph edges by the (u, v) pair and hyperedges by list index.
 PlanKey = Union[Edge, int]
 

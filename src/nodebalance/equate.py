@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .bmatch import BMatchEngine, ViolatingSet
-from .core import Graph, IncrementPlan, Weights, _Value, check_weights, is_uniform
+from .core import Graph, IncrementPlan, Weights, _Value, check_graph, check_weights, is_uniform
 from .errors import InstanceError, InternalError
 
 PARITIES = ("even", "odd")
@@ -56,6 +56,7 @@ def admissible_parities(G: Graph, w: Sequence[int]) -> tuple[str, ...]:
     otherwise (each step preserves total-weight parity, so no uniform
     target of any parity can be reached).
     """
+    check_graph(G, "admissible_parities")
     tw = check_weights(w, G.n)
     if G.n < 1:
         raise InstanceError("parity analysis needs at least one vertex")
@@ -139,6 +140,7 @@ def min_beta_for_parity(G: Graph, w: Sequence[int], parity: str) -> ParityOutcom
     reach it.  The first feasible probe is the answer, and its plan comes
     from the engine's solve of that probe.
     """
+    check_graph(G, "min_beta_for_parity")
     tw = check_weights(w, G.n)
     if G.n < 1 or parity not in _parities(G.n, tw):
         raise InstanceError(f"parity {parity!r} not admissible for this instance")
@@ -257,6 +259,7 @@ def equate(G: Graph, w: Sequence[int]) -> EquateResult:
     returned plan always has total multiplicity (n*beta - sum w) / 2, so
     minimizing beta also minimizes the number of steps.
     """
+    check_graph(G, "equate")
     tw = check_weights(w, G.n)
     uni = is_uniform(tw)
     if uni is not None:

@@ -2,20 +2,29 @@
 
 Maximum matching on general graphs (Edmonds' blossom algorithm, array
 based, breadth-first with deterministic scan order), bipartite matching
-by Kuhn's augmenting paths, and Dinic's max flow (Dinic 1970).  The
-b-matching engine builds on blossom and Dinic, and Dinic runs on one
-kind of network only: the bipartite double cover of bmatch._double_cover,
-or one copy of it for a bipartite graph, which serves every engine probe
-and universal_equatable.  strict_hall builds one matching per call with
-Kuhn's bipartite_matching; a positive answer needs nothing more from
-this module, and a negative one repairs a copy of it for each vertex
-pair with the same augment, kuhn_augment, and reads the witness off the
-first failing pair's copy with left_deficient_set.  The searches of one
-call share one seen array, each with a fresh mark, so a search costs
-what it explores, not k; a matching whose searches stay short, as on a
-cycle, is no longer quadratic.
+by Kuhn's augmenting paths and by Hopcroft and Karp's phases, and
+Dinic's max flow (Dinic 1970).
 
-That network has two layers, s -> L -> R -> t, and Dinic keeps it
+The b-matching engine builds on blossom and Dinic, and Dinic serves the
+engine alone: it runs on the bipartite double cover of
+bmatch._double_cover, or one copy of it for a bipartite graph, for every
+engine probe.  universal_equatable needs the unit demands only, and with
+those a flow on the cover is a matching of V against V along G's
+adjacency lists.  unit_matching computes it by Hopcroft and Karp's
+phases (SIAM J. Comput. 2, 1973) without per-arc flows, residual
+capacities or bottlenecks, and leaves exactly the matching that
+Dinic.max_flow((1,) * n) leaves; its docstring argues it step by step.
+
+strict_hall builds one matching per call with Kuhn's
+bipartite_matching; a positive answer needs nothing more from this
+module, and a negative one repairs a copy of it for each vertex pair
+with the same augment, kuhn_augment, and reads the witness off the first
+failing pair's copy with left_deficient_set.  The searches of one call
+share one seen array, each with a fresh mark, so a search costs what it
+explores, not k; a matching whose searches stay short, as on a cycle,
+is no longer quadratic.
+
+Dinic's network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine
 builds once for all of its probes, and per flow only the flows on the
 arcs between the copies and the residual capacities of the source and
@@ -270,11 +279,132 @@ def left_deficient_set(adj_lr: Adjacency, ml: list[int], mr: list[int]) -> list[
     return sorted(in_x)
 
 
+def unit_matching(
+    adj_lr: Adjacency, n_right: int
+) -> tuple[list[int], list[int], Optional[list[int]]]:
+    """Maximum bipartite matching by Hopcroft and Karp's phases, leaving
+    exactly the matching of Dinic.max_flow((1,) * n) on the network whose
+    middle arcs a_L -> c_R follow adj_lr[a] in order.
+
+    adj_lr[a] lists the right vertices adjacent to left vertex a.  Returns
+    (match_left, match_right, reach) with -1 for exposed vertices.  reach
+    is None when every left vertex is matched; otherwise reach[a] >= 0
+    exactly for the left vertices that alternating paths reach from an
+    exposed one, the left copies that Dinic's last, failing BFS levels.
+
+    With unit capacities a flow is a matching: the residual arcs are
+    a_L -> c_R along every edge (never saturated, see Dinic), s -> a_L
+    and c_R -> t while a and c are exposed, and c_R -> a_L back along
+    each matched edge; every push carries one unit.  Levels count as
+    Dinic counts them, so each step of Dinic's method reads as a step
+    here, and a node pruned here is one that cannot reach t.
+    - The greedy phase gives each left vertex, ascending, its first
+      exposed neighbour in adj_lr order, as Dinic's greedy phase does.
+    - A BFS levels the exposed lefts at 1, in ascending order, then
+      layer by layer the unlevelled neighbours of a left layer, in order
+      of discovery, and the mates of those rights, in the same order.
+      Dinic's queue holds the same layers in the same order and pops a
+      right layer only after the whole left layer before it, and it stops
+      at the first exposed right it pops.  So every right of that layer
+      has its level, the sink is one level above it, and no exposed right
+      lies lower.  Dinic also levels the mates of the rights popped
+      before that one, at the sink's level, where no right lies above
+      them: its search enters them only to find dead ends, and here the
+      matched rights of the last layer are dead ends at once.
+    - A search runs from each exposed left, ascending, and takes rights
+      in adj_lr order past a current-arc pointer, one level up.  An
+      exposed right ends the path, which flips, and Dinic, its source arc
+      saturated, resumes at s with the next exposed left.  A matched right
+      leads to its mate if the mate lies one level up; any other right
+      is a dead end.  After a flip the only arc into a path's left comes
+      from its new mate, and the only arc out of a path's right goes to
+      its new mate; both run one level down, so no later search of the
+      phase passes either node, here or in Dinic.
+    - A left with no untried right one level up is a dead end.  It leaves
+      the layered graph and takes the right that led to it along, as
+      that right leads nowhere else; the pointer behind them moves on.
+    - The phases end when no exposed left is left (reach None) or when a
+      BFS pops no exposed right; its left levels are then reach.
+    """
+    nl = len(adj_lr)
+    ml = [-1] * nl
+    mr = [-1] * n_right
+    for a in range(nl):
+        for c in adj_lr[a]:
+            if mr[c] == -1:
+                ml[a] = c
+                mr[c] = a
+                break
+    while True:
+        free = [a for a in range(nl) if ml[a] == -1]
+        if not free:
+            return ml, mr, None
+        level = [-1] * nl
+        rlevel = [-1] * n_right
+        for a in free:
+            level[a] = 1
+        layer = free
+        d = 2
+        while layer:
+            found: list[int] = []
+            for v in layer:
+                for c in adj_lr[v]:
+                    if rlevel[c] < 0:
+                        rlevel[c] = d
+                        found.append(c)
+            layer = [mr[c] for c in found]
+            if -1 in layer:
+                break
+            d += 1
+            for a in layer:
+                level[a] = d
+            d += 1
+        else:
+            # no exposed right in reach: the matching is maximum
+            return ml, mr, level
+        it = [0] * nl
+        for root in free:
+            path = [root]
+            v = root
+            while True:
+                row = adj_lr[v]
+                d = level[v] + 1
+                i = it[v]
+                k = len(row)
+                while i < k and rlevel[row[i]] != d:
+                    i += 1
+                if i == k:
+                    # dead end: v and the right that led to it leave
+                    level[v] = -1
+                    path.pop()
+                    if not path:
+                        break
+                    rlevel[ml[v]] = -1
+                    v = path[-1]
+                    it[v] += 1
+                    continue
+                it[v] = i
+                c = row[i]
+                m = mr[c]
+                if m == -1:
+                    for a in path:
+                        c = adj_lr[a][it[a]]
+                        ml[a] = c
+                        mr[c] = a
+                    break
+                if level[m] == d + 1:
+                    path.append(m)
+                    v = m
+                else:
+                    rlevel[c] = -1
+                    it[v] = i + 1
 
 
 class Dinic:
     """Integer max flow by Dinic's method on the two-layer network of a
-    b-matching, s -> L -> R -> t, whose arcs are implicit.
+    b-matching, s -> L -> R -> t, whose arcs are implicit.  It serves
+    BMatchEngine alone; unit demands on the full cover go to
+    unit_matching, which leaves the same matching.
 
     Node a (0 <= a < n) is the left copy a_L, n + c the right copy c_R,
     2n the source s and 2n + 1 the sink t.  The topology is fixed: lefts
@@ -484,11 +614,3 @@ class Dinic:
                 v = path[-1]
                 mids.pop()
                 it[v] += 1
-
-    def residual_graph(self) -> list[list[int]]:
-        """Successor lists of the copies, nodes 0..2n-1, along positive
-        residual arcs, leaving out the arcs to s and t."""
-        n, flow = self.n, self.flow
-        return [[c for _, c in arcs] for arcs in self.adj[:n]] + [
-            [a for arc, a in arcs if flow[arc]] for arcs in self.adj[n:]
-        ]

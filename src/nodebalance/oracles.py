@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bmatch import ENUM_LIMIT, check_tutte_enumeration
-from .core import Graph, Hypergraph, IncrementPlan, _as_int, check_weights, is_uniform
+from .core import Graph, Hypergraph, IncrementPlan, _as_int, check_graph, check_weights, is_uniform
 from .equate import _parities, _parity_bit
 from .errors import BudgetError, InstanceError
 from .hyper import _backtrack
@@ -31,6 +31,7 @@ def min_beta_scan(G: Graph, w: Sequence[int]) -> Optional[int]:
     otherwise raises BudgetError above ENUM_LIMIT vertices, or when some
     parity is admissible and the range holds more than MAX_TARGETS
     targets."""
+    check_graph(G, "min_beta_scan")
     tw = check_weights(w, G.n)
     uni = is_uniform(tw)
     if uni is not None:
@@ -64,6 +65,7 @@ def equate_backtracking(G: Graph, w: Sequence[int], beta: int) -> Optional[Incre
     Raises BudgetError above MAX_EDGES edges or when beta - min(w)
     exceeds MAX_RANGE.
     """
+    check_graph(G, "equate_backtracking")
     tw = check_weights(w, G.n)
     beta = _as_int(beta, "target")
     if beta < max(tw, default=0):

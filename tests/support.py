@@ -481,6 +481,17 @@ def residual_reach(net: ExplicitNetwork, cap, s: int) -> list[bool]:
     return seen
 
 
+def residual_graph(kernel) -> list[list[int]]:
+    """Successor lists of a flow kernel's copies, nodes 0..2n-1, along
+    positive residual arcs, leaving out the arcs to s and t: a left copy
+    reaches every right copy it has a middle arc to (that arc is never
+    saturated), and a right copy the left copies whose arcs carry flow."""
+    n, flow = kernel.n, kernel.flow
+    return [[c for _, c in arcs] for arcs in kernel.adj[:n]] + [
+        [a for arc, a in arcs if flow[arc]] for arcs in kernel.adj[n:]
+    ]
+
+
 def assert_same_flow(G: Graph, b, colors=None):
     """Run the flow kernel on _double_cover(G, colors) and check it against
     the textbook method on the explicit cover: the flow value, every
@@ -502,7 +513,7 @@ def assert_same_flow(G: Graph, b, colors=None):
         assert reach == [v == s for v in range(s + 2)]
     else:
         assert [x >= 0 for x in kernel.level] == reach
-    assert kernel.residual_graph() == [
+    assert residual_graph(kernel) == [
         [net.to[e] for e in net.head[v] if cap[e] > 0 and net.to[e] < s] for v in range(s)
     ]
     return kernel

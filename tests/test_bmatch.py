@@ -46,6 +46,7 @@ from support import (
     rand_bipartite,
     rand_graph,
     recursive_max_flow,
+    residual_graph,
     residual_reach,
     sparse_planned_instance,
     triangle_chain,
@@ -497,7 +498,7 @@ class TestCoverCut:
             net = assert_same_flow(G, (1,) * n)
             if sum(net.flow) < n:
                 continue
-            comp = _sink_component(net.residual_graph(), 0)
+            comp = _sink_component(residual_graph(net), 0)
             if len(comp) == 2 * n:
                 continue
             X = [v for v in comp if v < n]

@@ -18,16 +18,26 @@ from nodebalance import (
     bipartition,
     check_tutte_enumeration,
     constraint_bound,
+    decide_perfect_bmatching,
     equate,
     equate_backtracking,
+    expand_graph,
     hall_witness_assignment,
     hyper_equate,
+    independent_set_condition,
     is_balanced,
+    is_connected,
+    isolated_condition_enum,
     isolated_vertices,
     min_beta_for_parity,
+    min_beta_scan,
+    perfect_bmatching,
     s_count,
+    solve_bmatching_expansion,
     strict_hall,
+    strict_hall_enum,
     tutte_deficiency,
+    universal_equatable,
     verify_plan_perfect,
     violating_set,
 )
@@ -143,6 +153,65 @@ def test_hyper_equate_rejects_a_graph_before_searching(monkeypatch):
     K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(InstanceError, match=r"Hypergraph\(G\.n, G\.edges\)"):
         hyper_equate(K3, (1, 0, 0))
+
+
+# every public function that takes a graph G, called with the triangle as
+# a Hypergraph and arguments that would be valid for the triangle as a
+# Graph; the uniform weights of "equate_uniform" used to return beta = 0
+# unchecked, and most of the others raised AttributeError
+K3_HYPER = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+GRAPH_ONLY = {
+    "BMatchEngine": lambda H: BMatchEngine(H),
+    "admissible_parities": lambda H: admissible_parities(H, (1, 0, 0)),
+    "bipartition": lambda H: bipartition(H),
+    "check_tutte_enumeration": lambda H: check_tutte_enumeration(H, (1, 1, 0)),
+    "decide_perfect_bmatching": lambda H: decide_perfect_bmatching(H, (1, 1, 0)),
+    "equate": lambda H: equate(H, (1, 0, 0)),
+    "equate_uniform": lambda H: equate(H, (0, 0, 0)),
+    "equate_backtracking": lambda H: equate_backtracking(H, (1, 0, 0), 1),
+    "expand_graph": lambda H: expand_graph(H, (1, 1, 0)),
+    "hall_witness_assignment": lambda H: hall_witness_assignment(H, Bipartition([0], [1, 2]), [0]),
+    "independent_set_condition": lambda H: independent_set_condition(H),
+    "is_connected": lambda H: is_connected(H),
+    "isolated_condition_enum": lambda H: isolated_condition_enum(H),
+    "isolated_vertices": lambda H: isolated_vertices(H, {0}),
+    "min_beta_for_parity": lambda H: min_beta_for_parity(H, (1, 0, 0), "odd"),
+    "min_beta_scan": lambda H: min_beta_scan(H, (1, 0, 0)),
+    "perfect_bmatching": lambda H: perfect_bmatching(H, (1, 1, 0)),
+    "s_count": lambda H: s_count(H, {0}, (1, 1, 0)),
+    "solve_bmatching_expansion": lambda H: solve_bmatching_expansion(H, (1, 1, 0)),
+    "strict_hall": lambda H: strict_hall(H, Bipartition([0], [1, 2])),
+    "strict_hall_enum": lambda H: strict_hall_enum(H, Bipartition([0], [1, 2])),
+    "tutte_deficiency": lambda H: tutte_deficiency(H, {0}, (1, 1, 0)),
+    "universal_equatable": lambda H: universal_equatable(H),
+    "verify_plan_perfect": lambda H: verify_plan_perfect(H, (1, 1, 0), IncrementPlan([(0, 1)])),
+    "violating_set": lambda H: violating_set(H, {0}, (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_ONLY))
+def test_graph_only_function_rejects_a_hypergraph(case):
+    # the graph check comes first: any other check would fail with its
+    # own message, and the body with AttributeError
+    name = case.removesuffix("_uniform")
+    with pytest.raises(InstanceError, match=rf"^{name} needs a Graph, got Hypergraph; hyper_equate"):
+        GRAPH_ONLY[case](K3_HYPER)
+
+
+def test_graph_only_cases_cover_every_public_graph_parameter():
+    import inspect
+
+    import nodebalance
+
+    takes_graph = set()
+    for name in nodebalance.__all__:
+        try:
+            params = inspect.signature(getattr(nodebalance, name)).parameters
+        except (TypeError, ValueError):  # the error classes have no signature
+            continue
+        if "G" in params:
+            takes_graph.add(name)
+    assert takes_graph == {case.removesuffix("_uniform") for case in GRAPH_ONLY}
 
 
 # a graph edge, a graph plan key and a plan entry are pairs; a bare int

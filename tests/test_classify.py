@@ -46,6 +46,17 @@ P4 = path_graph(4)
 C6 = cycle_graph(6)
 
 
+def tree_plus_edges(n, m, seed=0):
+    """A random spanning tree on n vertices plus random edges up to m in
+    all, in time linear in m; at m = 2.5n its leaves share neighbours."""
+    rng = random.Random(seed)
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
 class TestConnected:
     def test_examples(self):
         # [TRIVIAL x3]
@@ -100,12 +111,38 @@ class TestUniversal:
         }
 
     def test_large_graphs_one_flow(self):
-        # n engine probes took minutes on these; one flow takes milliseconds
+        # n engine probes took minutes on these; one matching takes milliseconds
         for G in (cycle_graph(2001), cycle_with_chords(random.Random(801), 801, 1200)):
             start = time.perf_counter()
             v = universal_equatable(G)
             assert time.perf_counter() - start < 1.0
             assert v.verdict and v.reason is None
+
+    def test_no_dinic_flow(self, monkeypatch):
+        # the unit-capacity matching replaced the general flow kernel
+        def max_flow(self, b):
+            raise AssertionError("universal_equatable ran Dinic.max_flow")
+
+        monkeypatch.setattr(matching.Dinic, "max_flow", max_flow)
+        rng = random.Random(51)
+        verdicts = set()
+        for G in (P3, K3, cycle_graph(41), cycle_with_chords(rng, 81, 40), rand_connected(rng, 61, 0.04)):
+            verdicts.add(universal_equatable(G).verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "build, universal",
+        [(lambda: cycle_graph(100_001), True), (lambda: tree_plus_edges(20_001, 50_002), False)],
+        ids=["cycle_100001", "sparse_20001"],
+    )
+    def test_scale_under_two_seconds(self, build, universal):
+        G = build()
+        start = time.perf_counter()
+        v = universal_equatable(G)
+        assert time.perf_counter() - start < 2
+        assert v.verdict == universal
+        if not universal:
+            assert len(isolated_vertices(G, v.witness)) >= len(v.witness) >= 1
 
     def test_long_odd_path_witness(self):
         # a 4000-arc augmenting search and reachability scan, iteratively

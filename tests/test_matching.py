@@ -13,11 +13,13 @@ from nodebalance.matching import (
     greedy_matching,
     left_deficient_set,
     maximum_matching,
+    unit_matching,
 )
 from support import (
     assert_same_flow,
     complete_graph,
     cycle_graph,
+    cycle_with_chords,
     matching_size,
     nx_graph,
     path_graph,
@@ -229,6 +231,97 @@ class TestBipartite:
         ml, mr = bipartite_matching([[0]], 1)
         with pytest.raises(ValueError):
             left_deficient_set([[0]], ml, mr)
+
+
+def dinic_unit_matching(G):
+    """(match_left, match_right, reach) read off Dinic.max_flow((1,) * n)
+    on the full double cover of G: arc 2j is u_L -> v_R and 2j + 1 is
+    v_L -> u_R for edge j = uv, and reach marks the left copies that the
+    last, failing BFS levels, or is None after a full flow."""
+    n = G.n
+    net = _double_cover(G)
+    net.max_flow((1,) * n)
+    ml, mr = [-1] * n, [-1] * n
+    for j, (u, v) in enumerate(G.edges):
+        if net.flow[2 * j]:
+            ml[u], mr[v] = v, u
+        if net.flow[2 * j + 1]:
+            ml[v], mr[u] = u, v
+    reach = None if net.level is None else [x >= 0 for x in net.level[:n]]
+    return ml, mr, reach
+
+
+def unit_as_dinic(G):
+    ml, mr, reach = unit_matching(G._adj, G.n)
+    return ml, mr, None if reach is None else [x >= 0 for x in reach]
+
+
+class TestUnitMatching:
+    def test_same_matching_as_dinic(self):
+        # the mates and the reach of the last BFS, on graphs of every
+        # density from mostly isolated vertices to nearly complete
+        rng = random.Random(2500)
+        short = disconnected = 0
+        for _ in range(10_000):
+            n = rng.randint(1, 40)
+            G = rand_graph(rng, n, rng.choice((0.03, 0.06, 0.1, 0.2, 0.4, 0.7)))
+            ref = dinic_unit_matching(G)
+            assert unit_as_dinic(G) == ref
+            short += ref[2] is not None
+            disconnected += n > 1 and not nx.is_connected(nx_graph(G))
+        assert short >= 3_000 and disconnected >= 3_000
+
+    def test_same_matching_as_dinic_on_long_paths(self):
+        # relabelled cycles, trees and paths with few extra edges leave
+        # the greedy pass far from maximum, so many phases run and the
+        # augmenting paths are long
+        rng = random.Random(2501)
+        for i in range(300):
+            n = rng.randint(3, 300)
+            if i % 3 == 0:
+                G = cycle_with_chords(rng, n, rng.randint(0, 3))
+            else:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                if i % 3 == 1:
+                    pairs = {(perm[v], perm[rng.randrange(v)]) for v in range(1, n)}
+                else:
+                    pairs = {(perm[v - 1], perm[v]) for v in range(1, n)}
+                pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 10)}
+                G = Graph(n, sorted({(min(e), max(e)) for e in pairs}))
+            assert unit_as_dinic(G) == dinic_unit_matching(G)
+
+    def test_unequal_sides_against_references(self):
+        # any bipartite adjacency: the size of networkx's maximum
+        # matching, and reach is left_deficient_set's alternating set
+        rng = random.Random(2502)
+        short = 0
+        for _ in range(300):
+            a, b = rng.randint(1, 8), rng.randint(1, 8)
+            adj = [[j for j in range(b) if rng.random() < 0.35] for _ in range(a)]
+            ml, mr, reach = unit_matching(adj, b)
+            assert all(mr[j] == i for i, j in enumerate(ml) if j != -1)
+            assert all(ml[i] == j for j, i in enumerate(mr) if i != -1)
+            assert all(j in adj[i] for i, j in enumerate(ml) if j != -1)
+            g = nx.Graph()
+            g.add_nodes_from(range(a + b))
+            g.add_edges_from((i, a + j) for i in range(a) for j in adj[i])
+            size = len(nx.bipartite.maximum_matching(g, top_nodes=range(a))) // 2
+            assert sum(j != -1 for j in ml) == size
+            if reach is None:
+                assert -1 not in ml
+            else:
+                short += 1
+                assert [i for i in range(a) if reach[i] >= 0] == left_deficient_set(adj, ml, mr)
+        assert short >= 100
+
+    def test_long_augmenting_path(self):
+        # the network of TestDinic.test_long_augmenting_path as a bipartite
+        # adjacency: one 2k-arc path, walked iteratively
+        k = 5000
+        adj = [[i - 1, i] for i in range(1, k)] + [[0]]
+        ml, mr, reach = unit_matching(adj, k)
+        assert reach is None and ml == list(range(1, k)) + [0]
 
 
 class TestDinic:
