@@ -17,14 +17,14 @@ A bipartite graph with a fixed bipartition admits equalization from every
 *balanced* assignment (equal side totals) exactly when it satisfies the
 strict Hall condition: |N(X)| > |X| for every nonempty X properly
 contained in one side.  With equal sides of two or more vertices, that
-says the graph itself is elementary, so one Kuhn matching and one
-strong-component pass over its alternating digraph prove a positive
-answer.  A negative answer takes its witness from the first vertex pair,
-one from each side, whose deletion leaves no perfect matching.  That one
-matching serves the whole call: a copy of it, repaired by augmenting
-paths in each pair's graph, checks the pair, and the first failing
-pair's copy gives the witness.  Definitional enumerations of both
-conditions are kept as references.
+says the graph itself is elementary, so the same two steps on G, one
+unit_matching and one strong-component pass, prove a positive answer.
+A negative answer takes its witness from the first vertex pair, one
+from each side, whose deletion leaves no perfect matching.  That one
+matching serves the whole call: a copy of it, repaired by Kuhn's
+augmenting paths in each pair's graph, checks the pair, and the first
+failing pair's copy gives the witness.  Definitional enumerations of
+both conditions are kept as references.
 """
 
 from __future__ import annotations
@@ -155,19 +155,17 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
     the witness: nonempty, and it isolates all of S.
 
     X comes from the matching and is already independent, so S = X and
-    the witness is U = N(X) (bmatch._cover_cut).  A short matching leaves
-    the reachable left copies X, those of the last BFS, with fewer than
-    |X| right copies reachable; _cover_cut argues that X is independent,
-    and X = V is ruled out because N(V) = V.  A perfect matching's
-    residual arcs (u_L->v_R along every edge, v_R back to its matched
-    left copy) form the alternating digraph.  The strong component found
-    first has no residual arc leaving it, so its right copies are those
-    of N(X), for X its left copies, each matched into X.  X is nonempty
-    (a right copy brings its matched left copy) and proper (X = V would
-    bring in every right copy, and then the whole digraph).  By the count
-    above |N(S)| <= |S|, and the perfect matching makes it an equality,
-    so the copies of S and N(S) are closed under residual arcs; S is
-    nonempty, so they are the whole component and S = X.
+    the witness is U = N(X).  A short matching leaves the reachable left
+    copies X, those of the last BFS, with fewer than |X| right copies
+    reachable; bmatch._cover_cut argues that X is independent, and X = V
+    is ruled out because N(V) = V.  A perfect one leaves X, the left
+    copies of the component _sink_component finds in the alternating
+    digraph (u_L->v_R along every edge, v_R back to its matched left
+    copy), and X is proper unless G is universal.  No arc leaves that
+    component, so its right copies are those of N(X), each matched into
+    X.  By the count above |N(S)| <= |S|, and the perfect matching makes
+    it an equality, so the copies of S and N(S) are closed under the
+    arcs; S is nonempty, so they are the whole component and S = X.
     """
     check_graph(G, "universal_equatable")
     if G.n <= 1:
@@ -176,50 +174,57 @@ def universal_equatable(G: Graph) -> UniversalVerdict:
         return UniversalVerdict(False, "disconnected")
     if G.n % 2 == 0:
         return UniversalVerdict(False, "even_order")
-    n, adj = G.n, G._adj
-    _, mr, reach = matching.unit_matching(adj, n)
-    if reach is None:
-        succ = [[n + c for c in row] for row in adj] + [[a] for a in mr]
-        comp = _sink_component(succ, 0)
-        if len(comp) == 2 * n:
-            return UniversalVerdict(True)
-        reach = [-1] * n
-        for v in comp:
-            if v < n:
-                reach[v] = 0
-    return UniversalVerdict(False, "isolated_condition", tuple(_cover_cut(G, reach)))
+    adj = G._adj
+    _, mr, reach = matching.unit_matching(adj, G.n)
+    if reach is not None:
+        return UniversalVerdict(False, "isolated_condition", tuple(_cover_cut(G, reach)))
+    comp = _sink_component(adj, mr)
+    if len(comp) == G.n:
+        return UniversalVerdict(True)
+    return UniversalVerdict(False, "isolated_condition", tuple(sorted(_neighborhood(G, comp))))
 
 
-def _sink_component(succ: Sequence[Sequence[int]], root: int) -> list[int]:
-    """The first strong component an iterative Tarjan search from root
-    completes.  Components complete in reverse topological order, so no
-    arc leaves this one.  Nothing is popped before it completes, so every
-    visited vertex is still on the stack and a vertex's stack position is
-    its index."""
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
-    it = [0] * len(succ)
-    order = [root]
-    index[root] = 0
-    work = [root]
+def _sink_component(adj: Sequence[Sequence[int]], mr: Sequence[int]) -> list[int]:
+    """Left part of the first strong component that an iterative Tarjan
+    search from left vertex 0 completes in the alternating digraph of a
+    perfect bipartite matching: an arc from left a to right c for each c
+    in adj[a], and from each right c to its mate mr[c].  Components
+    complete in reverse topological order, so no arc leaves this one.
+
+    The search walks the digraph contracted onto the left vertices, a ->
+    mr[c] for c in adj[a], read straight off adj and mr.  The matching is
+    perfect, so the only arc into left a comes from its mate and the only
+    arc out of right c goes to mr[c]: merging each c into mr[c] keeps the
+    strong components and their left parts, and the search meets the left
+    vertices in the same order, so it completes the same component first.
+    Nothing is popped before it completes, so every visited vertex is
+    still on the stack and a vertex's stack position is its index."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    it = [0] * n
+    order = [0]
+    index[0] = 0
+    work = [0]
     while True:
-        v = work[-1]
-        if it[v] < len(succ[v]):
-            u = succ[v][it[v]]
-            it[v] += 1
-            if index[u] == -1:
-                index[u] = low[u] = len(order)
-                order.append(u)
-                work.append(u)
-            elif index[u] < low[v]:
-                low[v] = index[u]
+        a = work[-1]
+        row = adj[a]
+        if it[a] < len(row):
+            b = mr[row[it[a]]]
+            it[a] += 1
+            if index[b] == -1:
+                index[b] = low[b] = len(order)
+                order.append(b)
+                work.append(b)
+            elif index[b] < low[a]:
+                low[a] = index[b]
             continue
-        if low[v] == index[v]:
-            return order[index[v]:]
+        if low[a] == index[a]:
+            return order[index[a]:]
         work.pop()
         parent = work[-1]
-        if low[v] < low[parent]:
-            low[parent] = low[v]
+        if low[a] < low[parent]:
+            low[parent] = low[a]
 
 
 class Bipartition(_Value):
@@ -263,8 +268,12 @@ def bipartition(G: Graph) -> Optional[Bipartition]:
 
 
 def is_balanced(w: Sequence[int], part: Bipartition) -> bool:
-    """True iff the two sides carry equal total weight."""
-    tw = check_weights(w, len(part.left) + len(part.right))
+    """True iff the two sides carry equal total weight.  The sides must be
+    exactly the vertices 0..len(w) - 1."""
+    n = len(part.left) + len(part.right)
+    tw = check_weights(w, n)
+    if not all(0 <= v < n for v in part.left + part.right):
+        raise InstanceError(f"bipartition sides are not the vertices 0..{n - 1} of the weights")
     return sum(tw[v] for v in part.left) == sum(tw[v] for v in part.right)
 
 
@@ -297,24 +306,17 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
     too small to contain a proper nonempty subset, in which case the
     condition holds vacuously.  For equal sides of size k >= 2 the
     condition holds iff G is elementary: it has a perfect matching M whose
-    alternating digraph D(M) is strongly connected (Lovasz and Plummer,
-    Matching Theory, section 4.1).  D(M) has an arc from left i to right
-    j along each edge outside M and one from each right vertex to its
-    mate.  Why, with M perfect: a nonempty node set C that no arc leaves,
-    with left part X and right part Y, has Y inside M(X) and every
-    neighbor of X inside Y or M(X), so N(X) = M(X) and
-    |N(R \\ Y)| <= |L \\ X| + |M(X) \\ Y| = |R \\ Y|.  X is empty only if C
-    is, so a proper C gives a witness: X if X != L, else R \\ Y if Y is
-    nonempty, else any one right vertex, whose only neighbor is its mate.
-    Conversely a violator X inside L has N(X) = M(X), and one Z inside R
-    has N(Z) = M(Z); then X + M(X), or (L \\ M(Z)) + (R \\ Z), is such a
-    proper C.  A strict Hall graph needs a perfect matching, since
-    |N(L)| >= |N(L - u)| >= k.  So one Kuhn matching M of G and one
-    _sink_component pass over D(M), which finds a component that no arc
-    leaves, decide a positive answer in O(k + m) beyond the matching.
-    That bound needs a matching that is not quadratic by construction:
-    its searches share one seen array with a fresh mark each, so each
-    costs what it explores, not k.
+    alternating digraph D(M), as _sink_component defines it, is strongly
+    connected (Lovasz and Plummer, Matching Theory, section 4.1).  Why,
+    with M perfect: a nonempty node set C that no arc leaves, with left
+    part X and right part Y, has N(X) inside Y and Y inside M(X), so
+    N(X) = M(X).  X is nonempty, as a right vertex in C brings its mate,
+    and X = L would put all of N(L) = R in C, so a proper C has X as a
+    witness.  Conversely a violator X inside L has N(X) = M(X), and one
+    Z inside R has N(Z) = M(Z); then X + M(X), or (L \\ M(Z)) + (R \\ Z),
+    is such a proper C.  A strict Hall graph needs a perfect matching,
+    since |N(L)| >= |N(L - u)| >= k.  So one matching.unit_matching M of
+    G and one _sink_component pass over D(M) decide a positive answer.
 
     A negative answer keeps the witness of pairwise deletion: the
     condition holds iff for every pair (u in L, v in R) the graph
@@ -365,12 +367,9 @@ def strict_hall(G: Graph, part: Bipartition) -> HallVerdict:
         return HallVerdict(True)
     rpos = {y: j for j, y in enumerate(R)}
     adj = [[rpos[y] for y in G.neighbors(x)] for x in L]
-    ml, mr = matching.bipartite_matching(adj, k)
-    if -1 not in ml:
-        succ = [[k + j for j in row if j != ml[i]] for i, row in enumerate(adj)]
-        succ += [[i] for i in mr]
-        if len(_sink_component(succ, 0)) == 2 * k:
-            return HallVerdict(True)
+    ml, mr, reach = matching.unit_matching(adj, k)
+    if reach is None and len(_sink_component(adj, mr)) == k:
+        return HallVerdict(True)
     augment = matching.kuhn_augment
     seen = [0] * k
     mark = 0

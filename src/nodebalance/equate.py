@@ -97,6 +97,7 @@ def constraint_bound(
     never.  S must have been computed at a probe of the given parity (it
     is parity-invariant within the class).
     """
+    _parity_bit(parity)
     return _bound(u_size - isolated_size, u_weight - isolated_weight + s_odd, parity)
 
 

@@ -8,21 +8,16 @@ Dinic's max flow (Dinic 1970).
 The b-matching engine builds on blossom and Dinic, and Dinic serves the
 engine alone: it runs on the bipartite double cover of
 bmatch._double_cover, or one copy of it for a bipartite graph, for every
-engine probe.  universal_equatable needs the unit demands only, and with
-those a flow on the cover is a matching of V against V along G's
-adjacency lists.  unit_matching computes it by Hopcroft and Karp's
+engine probe.  Both classifiers need a unit-capacity matching only: a
+flow with unit demands on the cover is a matching of V against V along
+G's adjacency lists, and strict_hall matches one side of a bipartite G
+against the other.  unit_matching computes it by Hopcroft and Karp's
 phases (SIAM J. Comput. 2, 1973) without per-arc flows, residual
 capacities or bottlenecks, and leaves exactly the matching that
 Dinic.max_flow((1,) * n) leaves; its docstring argues it step by step.
-
-strict_hall builds one matching per call with Kuhn's
-bipartite_matching; a positive answer needs nothing more from this
-module, and a negative one repairs a copy of it for each vertex pair
-with the same augment, kuhn_augment, and reads the witness off the first
-failing pair's copy with left_deficient_set.  The searches of one call
-share one seen array, each with a fresh mark, so a search costs what it
-explores, not k; a matching whose searches stay short, as on a cycle,
-is no longer quadratic.
+A negative strict_hall repairs a copy of that matching for each vertex
+pair with Kuhn's augment, kuhn_augment, and reads the witness off the
+first failing pair's copy with left_deficient_set.
 
 Dinic's network has two layers, s -> L -> R -> t, and Dinic keeps it
 implicit: a fixed topology of per-copy arc lists, which BMatchEngine
@@ -243,7 +238,9 @@ def bipartite_matching(adj_lr: Adjacency, n_right: int) -> tuple[list[int], list
     adj_lr[i] lists the right-side indices adjacent to left vertex i.
     Returns (match_left, match_right) with -1 for exposed vertices.  One
     seen array serves the whole call, the search from i marking with
-    i + 1, so the call costs what its searches explore.
+    i + 1, so the call costs what its searches explore.  Recursive, like
+    kuhn_augment.  Nothing in the package calls it: bench/tracing.py
+    traces it by name, and the tests build reference matchings with it.
     """
     nl = len(adj_lr)
     ml = [-1] * nl

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import support
@@ -13,6 +15,15 @@ def atlas():
 def bipartite_cat():
     """All bipartite graphs with side sizes up to 5, one per isomorphism class."""
     return support.bipartite_catalog(5)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit of 1,000 for one test."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -25,6 +25,7 @@ from nodebalance import (
     s_count,
     solve_bmatching_expansion,
     tutte_deficiency,
+    universal_equatable,
     verify_plan_perfect,
     violating_set,
 )
@@ -46,7 +47,6 @@ from support import (
     rand_bipartite,
     rand_graph,
     recursive_max_flow,
-    residual_graph,
     residual_reach,
     sparse_planned_instance,
     triangle_chain,
@@ -489,7 +489,8 @@ class TestCoverCut:
 
     def test_sink_component_matches_x_minus_its_neighbourhood(self):
         # universal_equatable's full-flow rule: X = left copies of the
-        # first strong component of the alternating digraph
+        # first strong component of the alternating digraph, the mates
+        # read off the unit Dinic flow, and the witness U = N(X)
         rng = random.Random(41)
         cut = 0
         for _ in range(300):
@@ -498,12 +499,18 @@ class TestCoverCut:
             net = assert_same_flow(G, (1,) * n)
             if sum(net.flow) < n:
                 continue
-            comp = _sink_component(residual_graph(net), 0)
-            if len(comp) == 2 * n:
+            adj = [[c - n for _, c in arcs] for arcs in net.adj[:n]]
+            mr = [-1] * n
+            for a in range(n):
+                for arc, c in net.adj[a]:
+                    if net.flow[arc]:
+                        mr[c - n] = a
+            X = _sink_component(adj, mr)
+            if len(X) == n:
                 continue
-            X = [v for v in comp if v < n]
-            inside = [0 if v in comp else -1 for v in range(n)]
-            assert _cover_cut(G, inside) == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
+            U = sorted(neighbourhood(G, X))
+            assert U == sorted(neighbourhood(G, set(X) - neighbourhood(G, X)))
+            assert universal_equatable(G).witness == tuple(U)
             cut += 1
         assert cut >= 50
 

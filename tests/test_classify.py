@@ -8,6 +8,7 @@ import pytest
 from nodebalance import (
     Bipartition,
     Graph,
+    HallVerdict,
     InstanceError,
     InternalError,
     bipartition,
@@ -192,17 +193,24 @@ class TestSinkComponent:
     def test_against_networkx(self):
         import networkx as nx
 
+        # a random perfect matching mr inside random adjacency lists; the
+        # digraph has arcs a -> n + c for c in adj[a] and n + c -> mr[c]
         rng = random.Random(47)
         for _ in range(300):
             n = rng.randint(1, 12)
             p = rng.choice((0.1, 0.25, 0.5))
-            succ = [[u for u in range(n) if u != v and rng.random() < p] for v in range(n)]
-            comp = _sink_component(succ, 0)
+            mr = rng.sample(range(n), n)
+            adj = [[c for c in range(n) if mr[c] == a or rng.random() < p] for a in range(n)]
+            for row in adj:
+                rng.shuffle(row)
+            comp = _sink_component(adj, mr)
             g = nx.DiGraph()
-            g.add_nodes_from(range(n))
-            g.add_edges_from((v, u) for v in range(n) for u in succ[v])
-            assert set(comp) in [set(c) for c in nx.strongly_connected_components(g)]
-            assert all(u in comp for v in comp for u in succ[v])
+            g.add_nodes_from(range(2 * n))
+            g.add_edges_from((a, n + c) for a in range(n) for c in adj[a])
+            g.add_edges_from((n + c, mr[c]) for c in range(n))
+            lefts = [{v for v in c if v < n} for c in nx.strongly_connected_components(g)]
+            assert len(set(comp)) == len(comp) and set(comp) in lefts
+            assert all(mr[c] in comp for a in comp for c in adj[a])
             assert 0 in comp or nx.has_path(g, 0, comp[0])
 
 
@@ -273,6 +281,15 @@ class TestBalanced:
         C4 = cycle_graph(4)
         assert is_balanced((1, 0, 0, 1), bipartition(C4))
         assert is_balanced((0, 0, 0, 0, 0, 0), bipartition(C6))
+
+    @pytest.mark.parametrize(
+        "w, part",
+        [((1, 2), Bipartition([0], [5])), ((1, 2), Bipartition([-1], [0]))],
+        ids=["past_the_weights", "negative_id"],
+    )
+    def test_sides_must_be_the_weight_indices(self, w, part):
+        with pytest.raises(InstanceError):
+            is_balanced(w, part)
 
 
 class TestStrictHall:
@@ -356,13 +373,13 @@ class TestStrictHallSharedMatching:
         # the shared matching; a failing pair's witness is read off its
         # repaired copy, so a negative answer builds no second one
         calls = []
-        real = matching.bipartite_matching
+        real = matching.unit_matching
 
         def counting(adj, n_right):
             calls.append(n_right)
             return real(adj, n_right)
 
-        monkeypatch.setattr(matching, "bipartite_matching", counting)
+        monkeypatch.setattr(matching, "unit_matching", counting)
         rng = random.Random(4)
         negative = 0
         for _ in range(300):
@@ -407,7 +424,7 @@ class TestStrictHallSharedMatching:
     def test_pass_and_pair_scan_check_each_other(self, monkeypatch):
         # a pass that wrongly finds a closed proper component sends a
         # strict-Hall graph to the pair scan, where every pair passes
-        monkeypatch.setattr(classify, "_sink_component", lambda succ, root: [root])
+        monkeypatch.setattr(classify, "_sink_component", lambda adj, mr: [0])
         with pytest.raises(InternalError, match="not elementary"):
             strict_hall(C6, bipartition(C6))
 
@@ -429,8 +446,7 @@ class TestStrictHallSharedMatching:
             assert time.perf_counter() - start < 1
 
     def test_c100000_under_a_second(self):
-        # every search marks one shared seen array, so the matching costs
-        # what its searches explore, not k^2
+        # one unit_matching and one component pass over the left vertices
         G = cycle_graph(100_000)
         part = bipartition(G)
         start = time.perf_counter()
@@ -438,41 +454,34 @@ class TestStrictHallSharedMatching:
         assert time.perf_counter() - start < 1
 
     def test_one_seen_array_per_call(self, monkeypatch):
-        # each search records its seen array, and whether it ran inside
-        # bipartite_matching or in strict_hall's pair scan; the list keeps
-        # every array alive, so distinct arrays have distinct ids
-        real_augment, real_matching = matching.kuhn_augment, matching.bipartite_matching
-        searches = []
-        inside = [False]
+        # each search of the pair scan records its seen array; the list
+        # keeps every array alive, so distinct arrays have distinct ids
+        real_augment = matching.kuhn_augment
+        arrays = []
 
         def augment(adj, ml, mr, i, seen, *mark):
-            searches.append((inside[0], seen))
+            arrays.append(seen)
             return real_augment(adj, ml, mr, i, seen, *mark)
-
-        def bipartite_matching(adj, n_right):
-            inside[0] = True
-            try:
-                return real_matching(adj, n_right)
-            finally:
-                inside[0] = False
-
-        def arrays(in_matching):
-            return len({id(seen) for where, seen in searches if where == in_matching})
 
         P = path_graph(400)
         ref = strict_hall_from_scratch(P, bipartition(P))[0]
         monkeypatch.setattr(matching, "kuhn_augment", augment)
-        monkeypatch.setattr(matching, "bipartite_matching", bipartite_matching)
-        C = cycle_graph(400)
-        adj = [[(y - 1) // 2 for y in C.neighbors(x)] for x in range(0, 400, 2)]
-        matching.bipartite_matching(adj, 200)
-        assert len(searches) >= 200 and arrays(True) == 1
         # on P_400 the pairs (0, v) pass with one search each, then (2, 1)
-        # fails: one array for the matching and one for the whole scan
-        searches.clear()
+        # fails: one array for the whole scan
         assert strict_hall(P, bipartition(P)) == ref
-        scan = sum(not where for where, _ in searches)
-        assert scan >= 200 and arrays(True) == 1 and arrays(False) == 1, scan
+        assert len(arrays) >= 200 and len({id(seen) for seen in arrays}) == 1, len(arrays)
+
+    @pytest.mark.parametrize("k", [2_000, 20_000])
+    def test_relabelled_even_cycle_answers(self, k, default_recursion_limit):
+        # a recursive Kuhn matching exhausted the recursion on these long
+        # alternating paths; an elementary graph answers in one pass
+        workloads = load_bench("workloads")
+        rng = random.Random(k)
+        d = workloads.relabelled(rng, workloads.chorded_cycle(rng, k, 0))
+        G, part = Graph(d["n"], d["edges"]), Bipartition(d["left"], d["right"])
+        start = time.perf_counter()
+        assert strict_hall(G, part) == HallVerdict(True)
+        assert time.perf_counter() - start < 2
 
 
 class TestHallWitnessAssignment:

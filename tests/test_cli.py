@@ -155,6 +155,23 @@ class TestGolden:
         )
 
 
+class TestBipartiteLongCycle:
+    def test_relabelled_c4000_answers(self, capsys, tmp_path, default_recursion_limit):
+        # a recursive Kuhn matching exhausted the recursion on two of
+        # these three relabellings, and the command exited 1 with a
+        # traceback
+        workloads = load_bench("workloads")
+        for seed in range(3):
+            rng = random.Random(seed)
+            d = workloads.relabelled(rng, workloads.chorded_cycle(rng, 2000, 0))
+            path = tmp_path / f"c4000_{seed}.txt"
+            path.write_text(serialize_instance(Graph(d["n"], d["edges"]), (0,) * d["n"]))
+            rc, out, _ = run(capsys, "bipartite", str(path))
+            assert rc == 0, seed
+            doc = json.loads(out)
+            assert (doc["strict_hall"], doc["hall_witness"]) == (True, None), seed
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys):
         rc1, out1, _ = run(capsys, "equate", PUZZLE)

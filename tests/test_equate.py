@@ -85,6 +85,13 @@ class TestConstraintBound:
         assert constraint_bound(1, 1, 3, 0, 0, "odd") == BoundCase("never")
         assert constraint_bound(1, 1, 0, 2, 0, "even") == BoundCase("always")
 
+    @pytest.mark.parametrize("u_size, isolated_size", [(1, 1), (2, 1), (1, 2)],
+                             ids=["zero_slope", "positive_slope", "negative_slope"])
+    def test_bad_parity_rejected_at_any_slope(self, u_size, isolated_size):
+        # a zero slope never reaches the alignment that checked the parity
+        with pytest.raises(InstanceError, match="parity"):
+            constraint_bound(u_size, isolated_size, 0, 0, 0, "bogus")
+
     def test_threshold_rounding_against_scan(self):
         # the parity-aligned threshold matches a brute scan of the
         # linear condition slope*beta >= const over a wide window
